@@ -10,13 +10,11 @@ Hessian analysis, negative-gradient flow and fibrewise maximization.
 
 from .critical import (
     CriticalComponent,
-    NotACriticalValue,
-    component_index,
+    TooManyWeights,
     component_squares,
     criterion_equivalence_sample,
     criterion_predicates,
     enumerate_critical_components,
-    generic_support,
     polytope_vertices,
 )
 from .degeneracy import (
@@ -70,12 +68,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionSpec", "CriticalComponent", "FlowParams", "FlowResult",
-    "HessianReport", "NotACriticalValue", "PoincareSeries", "Rat", "RatVec",
-    "SpecError", "WeightDatum", "as_ratvec", "betti_numbers",
-    "component_index", "component_squares", "cone_member",
-    "criterion_equivalence_sample", "criterion_predicates",
-    "enumerate_critical_components", "equivariant_series",
-    "fibrewise_critical_locus", "flow_trajectory", "generic_support",
+    "HessianReport", "PoincareSeries", "Rat", "RatVec", "SpecError",
+    "TooManyWeights", "WeightDatum", "as_ratvec", "betti_numbers",
+    "component_squares", "cone_member", "criterion_equivalence_sample",
+    "criterion_predicates", "enumerate_critical_components",
+    "equivariant_series", "fibrewise_critical_locus", "flow_trajectory",
     "grad_f", "hess_f", "hessian_report", "is_regular_value",
     "local_coords_check", "momentum_value", "momentum_value_float",
     "nearest_affine_point", "negative_eigenspace", "polarization_certificate",

@@ -12,7 +12,8 @@ Unknown keys are rejected.  All output is deterministic: identical inputs,
 flags and seeds produce byte-identical text, CSV and SVG.
 
 Exit codes: 0 success, 1 input error, 2 verification or consistency
-failure.
+failure, or a run the engine cannot finish (too many distinct weights, a
+flow that diverges or does not converge).
 """
 
 from __future__ import annotations
@@ -35,6 +36,12 @@ from .weights import ActionSpec, SpecError, polarization_certificate, validate_s
 
 class CliInputError(Exception):
     """Any malformed input: file, JSON schema, rationals, flags."""
+
+
+# Runs the engine cannot finish: reported on one line with exit 2.
+_ENGINE_FAILURES = (critical.TooManyWeights, degeneracy.FlowDivergence,
+                    degeneracy.FlowNonConvergence, degeneracy.NotOnComponent,
+                    poincare.ResidualDenominatorError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,17 +237,16 @@ def run_poincare(args) -> int:
     target = _resolve_target(spec, file_target, args.target)
     lines = _header("poincare", spec, target)
     series = poincare.equivariant_series(spec, target)
-    regular = poincare.is_regular_value(spec, target)
     text = poincare.series_text(series)
     if series.is_zero():
         lines.append(f"empty; P = {text}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
-    if not regular:
+    if not poincare.is_regular_value(spec, target):
         lines.append(f"singular; P = {text}")
         sys.stdout.write("\n".join(lines) + "\n")
         return 0
-    betti = poincare.betti_numbers(spec, target)
+    betti = poincare.quotient_betti(series)
     betti_text = "[" + ",".join(str(b) for b in betti) + "]"
     lines.append(f"regular; P = {text}; betti = {betti_text}")
     sys.stdout.write("\n".join(lines) + "\n")
@@ -265,8 +271,11 @@ def run_verify(args) -> int:
     lines = _header("verify", spec, target)
     lines.append(f"seed: {args.seed}; samples: {args.samples}; "
                  f"radius: {args.radius}")
-    lines.append("tolerances: tau_zero=1e-09 eps_grad=1e-08 match_tol=1e-05 "
-                 "newton_tol=1e-10 step_slack=1e-12")
+    lines.append(f"tolerances: tau_zero={degeneracy.TAU_ZERO} "
+                 f"eps_grad={degeneracy.EPS_GRAD} "
+                 f"match_tol={degeneracy.MATCH_TOL} "
+                 f"newton_tol={degeneracy.NEWTON_TOL} "
+                 f"step_slack={degeneracy.STEP_SLACK}")
     failures = []
     equal, bad = critical.criterion_equivalence_sample(spec, args.samples,
                                                        args.seed)
@@ -486,7 +495,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliInputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except _ENGINE_FAILURES as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
 
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -53,8 +53,20 @@ from .weights import ActionSpec, momentum_value
 MAX_DISTINCT_WEIGHTS = 20
 
 
-class NotACriticalValue(ValueError):
-    """Raised when a momentum value is not among the enumerated ones."""
+class TooManyWeights(ValueError):
+    """The spec has more distinct weights than the desk-scale cap."""
+
+
+def check_weight_cap(spec: ActionSpec) -> None:
+    """Raise TooManyWeights above MAX_DISTINCT_WEIGHTS distinct weights.
+
+    Every scan over weight subsets calls this first, so an over-cap spec
+    fails at once instead of starting a 2^m scan.
+    """
+    m = len(spec.weights)
+    if m > MAX_DISTINCT_WEIGHTS:
+        raise TooManyWeights(f"{m} distinct weights exceeds the desk-scale cap "
+                             f"of {MAX_DISTINCT_WEIGHTS}")
 
 
 @dataclass(frozen=True)
@@ -92,11 +104,9 @@ def enumerate_critical_components(spec: ActionSpec,
     The minimum component (value == target) appears iff the level is
     nonempty, i.e. iff target - shift lies in the cone of the weights.
     """
+    check_weight_cap(spec)
     xi = as_ratvec(target, spec.rank) if target is not None else zero_vec(spec.rank)
     m = len(spec.weights)
-    if m > MAX_DISTINCT_WEIGHTS:
-        raise ValueError(f"{m} distinct weights exceeds the desk-scale cap "
-                         f"of {MAX_DISTINCT_WEIGHTS}")
     mus = spec.weight_vectors()
     feet: dict[RatVec, list[tuple[int, ...]]] = {}
     for size in range(m + 1):
@@ -169,23 +179,6 @@ def _support_of_value(spec: ActionSpec, zero_weights: tuple[int, ...],
     assert feasible_any
     stab_rank = spec.rank - rational_rank([spec.weights[w].weight for w in support])
     return (tuple(support), stab_rank)
-
-
-def generic_support(spec: ActionSpec, target: Optional[Sequence],
-                    component: CriticalComponent) -> tuple[tuple[int, ...], int]:
-    """Expanded coordinates of the generic support and the stabilizer rank."""
-    coords = spec.coordinates_of_weights(component.generic_support)
-    return (coords, component.stabilizer_rank)
-
-
-def component_index(spec: ActionSpec, target: Optional[Sequence],
-                    alpha: Sequence) -> int:
-    """Morse index of the component at the given critical value."""
-    alpha_vec = as_ratvec(alpha, spec.rank)
-    for comp in enumerate_critical_components(spec, target):
-        if comp.value == alpha_vec:
-            return comp.index
-    raise NotACriticalValue(f"{tuple(map(str, alpha_vec))} is not a critical value")
 
 
 # ---------------------------------------------------------------------------

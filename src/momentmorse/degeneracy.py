@@ -42,6 +42,7 @@ import numpy as np
 
 from .critical import (
     CriticalComponent,
+    _polytope_system,
     component_squares,
     enumerate_critical_components,
     polytope_vertices,
@@ -347,15 +348,12 @@ def project_to_component_polytope(
     every subset of coordinates pinned to zero gives an affine subspace,
     the foot of q on it is exact, and feasible feet are compared.
     """
-    coords = list(spec.coordinates_of_weights(component.zero_weights))
-    idx = spec.coordinate_weight_indices()
+    coords, A, b = _polytope_system(spec, component)
     n = len(q)
     outside = sum((Fraction(q[j]) ** 2 for j in range(n) if j not in coords),
                   Fraction(0))
     if not coords:
         return (outside, tuple(Fraction(0) for _ in range(n)))
-    A = [[spec.weights[idx[j]].weight[i] for j in coords] for i in range(spec.rank)]
-    b = [component.value[i] - spec.shift[i] for i in range(spec.rank)]
     q_zero = tuple(Fraction(q[j]) for j in coords)
     best: Optional[Fraction] = None
     best_foot: Optional[dict[int, Fraction]] = None

@@ -1,6 +1,7 @@
 """Exact rational vectors, linear algebra and tiny exact linear programs.
 
-Everything in this module is computed over ``fractions.Fraction`` so that
+Everything in this module is exact -- values are ``fractions.Fraction``,
+and elimination works on integer multiples of the rows -- so that
 the enumeration of critical values downstream can rely on exact equality:
 two candidate values either coincide or they do not, with no tolerance in
 sight.  Vectors are plain tuples of Fractions, which keeps equality,
@@ -84,109 +85,91 @@ def norm_float(u: RatVec) -> float:
 # elimination: rank, one solution of a consistent system, kernel bases
 # ---------------------------------------------------------------------------
 
-def rational_rank(gens: Sequence[RatVec]) -> int:
-    """Rank over the rationals of a list of vectors.
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
 
-    Uses fraction-free integer elimination: each row is first scaled by the
-    lcm of its denominators (row scaling does not change rank), then pivots
-    are cleared with pure integer row operations.
+
+def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form by fraction-free Gauss-Jordan elimination.
+
+    Each row is scaled by the lcm of its denominators (an integer row with
+    the same RREF), then every pivot column is cleared above and below with
+    integer row operations, and each new row is divided by the gcd of its
+    entries so the integers stay small -- integer-preserving elimination in
+    the manner of Bareiss (Math. Comp. 22, 1968), with gcd normalisation in
+    place of his exact division.
+
+    Returns (reduced, pivots) with zero rows dropped: ``reduced[r]`` is an
+    integer multiple of row r of the unique RREF, so that row's entries are
+    ``reduced[r][c] / reduced[r][pivots[r]]``.
     """
-    rows = []
-    for g in gens:
-        lcm = 1
-        for e in g:
-            lcm = lcm * e.denominator // math.gcd(lcm, e.denominator)
-        rows.append([int(e * lcm) for e in g])
-    if rows:
-        _check_same_length(*[tuple(map(Fraction, r)) for r in rows])
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            col += 1
+    width = _check_same_length(*rows)
+    ints = []
+    for row in rows:
+        scale = math.lcm(*(e.denominator for e in row))
+        ints.append([e.numerator * (scale // e.denominator) for e in row])
+    pivots: list[int] = []
+    for col in range(width):
+        r = len(pivots)
+        if r == len(ints):
+            break
+        found = next((i for i in range(r, len(ints)) if ints[i][col]), None)
+        if found is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            q = rows[i][col]
-            if q:
-                rows[i] = [p * a - q * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+        ints[r], ints[found] = ints[found], ints[r]
+        prow = ints[r] = _primitive(ints[r])
+        p = prow[col]
+        for i, row in enumerate(ints):
+            q = row[col]
+            if i != r and q:
+                g = math.gcd(p, q)
+                a, b = p // g, q // g
+                ints[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+        pivots.append(col)
+    return ints[:len(pivots)], pivots
+
+
+def rational_rank(gens: Sequence[RatVec]) -> int:
+    """Rank over the rationals of a list of vectors."""
+    return len(_rref(gens)[1])
 
 
 def solve_consistent(rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
                      ) -> Optional[list[Fraction]]:
     """One exact solution of ``rows @ x = rhs`` with free variables set to 0.
 
-    Returns None when the system is inconsistent.  Rank-deficient systems
-    are fine; any solution of a consistent system is acceptable here.
+    Returns None when the system is inconsistent, i.e. when the rhs column
+    of the augmented RREF holds a pivot.  Rank-deficient systems are fine.
     """
-    m = len(rows)
-    if m == 0:
+    if not rows:
         return []
     n = len(rows[0])
-    aug = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    pivots: list[tuple[int, int]] = []
-    row_i = 0
-    for col in range(n):
-        pivot = next((i for i in range(row_i, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row_i], aug[pivot] = aug[pivot], aug[row_i]
-        p = aug[row_i][col]
-        aug[row_i] = [v / p for v in aug[row_i]]
-        for i in range(m):
-            if i != row_i and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[row_i])]
-        pivots.append((row_i, col))
-        row_i += 1
-        if row_i == m:
-            break
-    for i in range(row_i, m):
-        if aug[i][n] != 0:
-            return None
+    reduced, pivots = _rref([[*row, rhs[i]] for i, row in enumerate(rows)])
+    if pivots and pivots[-1] == n:
+        return None
     x = [Fraction(0)] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
+    for row, c in zip(reduced, pivots):
+        x[c] = Fraction(row[n], row[c])
     return x
 
 
 def kernel_basis(rows: Sequence[RatVec]) -> list[RatVec]:
-    """Basis of the null space {v : <row, v> = 0 for every row}."""
+    """Basis of the null space {v : <row, v> = 0 for every row}.
+
+    One vector per free column of the RREF: 1 there, minus that column's
+    RREF entries on the pivots, 0 elsewhere.
+    """
     if not rows:
         return []
-    n = _check_same_length(*rows)
-    m = len(rows)
-    aug = [[Fraction(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    row_i = 0
-    for col in range(n):
-        pivot = next((i for i in range(row_i, m) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[row_i], aug[pivot] = aug[pivot], aug[row_i]
-        p = aug[row_i][col]
-        aug[row_i] = [v / p for v in aug[row_i]]
-        for i in range(m):
-            if i != row_i and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[row_i])]
-        pivots.append(col)
-        row_i += 1
-        if row_i == m:
-            break
+    reduced, pivots = _rref(rows)
+    n = len(rows[0])
     basis = []
-    free = [c for c in range(n) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n) if c not in pivots):
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -aug[r][fc]
+        for row, pc in zip(reduced, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(v))
     return basis
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .critical import enumerate_critical_components
+from .critical import check_weight_cap, enumerate_critical_components
 from .exactlin import RatVec, as_ratvec, cone_member, rational_rank, vsub, zero_vec
 from .weights import ActionSpec
 
@@ -255,6 +255,7 @@ def is_regular_value(spec: ActionSpec, target: Optional[Sequence] = None) -> boo
     subsets I of rank below the torus rank (the empty subset covers the
     shift itself).
     """
+    check_weight_cap(spec)
     xi = as_ratvec(target, spec.rank) if target is not None else zero_vec(spec.rank)
     rhs = vsub(xi, spec.shift)
     mus = spec.weight_vectors()
@@ -266,18 +267,15 @@ def is_regular_value(spec: ActionSpec, target: Optional[Sequence] = None) -> boo
     return True
 
 
-def betti_numbers(spec: ActionSpec, target: Optional[Sequence] = None
-                  ) -> tuple[int, ...]:
-    """Betti numbers of the symplectic quotient at a regular value.
+def quotient_betti(series: PoincareSeries) -> tuple[int, ...]:
+    """Betti numbers of the quotient, read off the series of a regular level.
 
     At a regular value the equivariant cohomology of the level descends to
     the quotient, so the series must normalize to a polynomial; a residual
     (1-t^2) denominator would mean the regularity test and the recursion
-    disagree and is reported as an internal error.
+    disagree and is reported as an internal error.  The caller has checked
+    regularity; the zero series of an empty level is rejected here.
     """
-    if not is_regular_value(spec, target):
-        raise SingularValueError("not a regular value")
-    series = equivariant_series(spec, target)
     if series.is_zero():
         raise EmptyLevelError("empty level")
     series = series_normalize(series)
@@ -285,3 +283,16 @@ def betti_numbers(spec: ActionSpec, target: Optional[Sequence] = None
         raise ResidualDenominatorError(
             f"residual denominator power {series.denom_power}")
     return series.numerator
+
+
+def betti_numbers(spec: ActionSpec, target: Optional[Sequence] = None
+                  ) -> tuple[int, ...]:
+    """Betti numbers of the symplectic quotient at a regular value.
+
+    An empty level raises EmptyLevelError before the regularity scan, a
+    singular value SingularValueError.
+    """
+    series = equivariant_series(spec, target)
+    if not series.is_zero() and not is_regular_value(spec, target):
+        raise SingularValueError("not a regular value")
+    return quotient_betti(series)

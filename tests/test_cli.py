@@ -1,9 +1,17 @@
 """CLI contract: formats, exit codes, determinism, round-trip."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import momentmorse
+from momentmorse import degeneracy
+from momentmorse.critical import MAX_DISTINCT_WEIGHTS
 from momentmorse.cli import (
     load_spec_document,
     main,
@@ -166,6 +174,8 @@ class TestVerify:
         assert main(["verify", s1c2_file, "--samples", "40"]) == 0
         out = capsys.readouterr().out
         assert "verdict: pass" in out
+        assert ("tolerances: tau_zero=1e-09 eps_grad=1e-08 match_tol=1e-05 "
+                "newton_tol=1e-10 step_slack=1e-12\n") in out
 
     def test_corrupted_table_exits_2(self, c3_file, capsys):
         assert main(["verify", c3_file, "--samples", "40", "--corrupt"]) == 2
@@ -232,3 +242,51 @@ class TestPlot:
         main(["plot", c3_file, "--out", str(a)])
         main(["plot", c3_file, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestEngineFailures:
+    @pytest.fixture
+    def over_cap_file(self, tmp_path):
+        m = MAX_DISTINCT_WEIGHTS + 1
+        doc = {"rank": 1,
+               "weights": [{"weight": [k], "multiplicity": 1}
+                           for k in range(1, m + 1)],
+               "shift": ["0"], "target": ["1"]}
+        path = tmp_path / "over_cap.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("command", ["analyze", "poincare"])
+    def test_over_cap_exits_2_with_one_line(self, over_cap_file, command, capsys):
+        start = time.perf_counter()
+        assert main([command, over_cap_file]) == 2
+        assert time.perf_counter() - start < 10.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {MAX_DISTINCT_WEIGHTS + 1} distinct "
+                                f"weights exceeds the desk-scale cap of "
+                                f"{MAX_DISTINCT_WEIGHTS}\n")
+
+    def test_flow_nonconvergence_exits_2(self, c3_file, capsys, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise degeneracy.FlowNonConvergence("gradient norm 1e-3 after 100 steps")
+        monkeypatch.setattr(degeneracy, "survey_strata", stalled)
+        assert main(["flow", c3_file, "--points", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: gradient norm 1e-3 after 100 steps\n"
+
+
+class TestModuleEntryPoint:
+    def test_python_m_runs_the_cli(self, c3_file, capsys):
+        src = str(Path(momentmorse.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "momentmorse.cli", "analyze", c3_file],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main(["analyze", c3_file]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert proc.stdout.startswith("command: analyze\n")

@@ -7,13 +7,12 @@ import random
 import pytest
 
 from momentmorse.critical import (
-    NotACriticalValue,
-    component_index,
+    MAX_DISTINCT_WEIGHTS,
+    TooManyWeights,
     component_squares,
     criterion_equivalence_sample,
     criterion_predicates,
     enumerate_critical_components,
-    generic_support,
     polytope_vertices,
 )
 from momentmorse.weights import momentum_value, validate_spec
@@ -68,10 +67,6 @@ class TestEnumerationC3:
         assert comps[(F(0), F(1))].generic_support == (0,)
         assert comps[(F(-1), F(-1))].generic_support == (2,)
         assert comps[(F(0), F(0))].generic_support == (0, 1, 2)
-        coords, rank = generic_support(spec, (0, 0), comps[(F(0), F(0))])
-        assert coords == (0, 1, 2) and rank == 0
-        coords, rank = generic_support(spec, (0, 0), comps[(F(0), F(1))])
-        assert coords == (0,) and rank == 1
 
     def test_witnesses_and_soundness(self):
         comps = by_value(enumerate_critical_components(c3_spec(), (0, 0)))
@@ -131,15 +126,12 @@ class TestEnumerationSmallSpecs:
         values = {c.value: c.index for c in comps}
         assert values == {(F(0),): 6, (F(1),): 0}
 
-    def test_component_index_errors_off_critical(self):
-        with pytest.raises(NotACriticalValue):
-            component_index(c3_spec(), (0, 0), (1, 1))
-
-    def test_component_index_examples(self):
-        spec = c3_spec()
-        assert component_index(spec, (0, 0), (0, 0)) == 0
-        assert component_index(spec, (0, 0), (0, 1)) == 2
-        assert component_index(spec, (0, 0), (-1, -1)) == 4
+    def test_weight_cap_raises_named_error(self):
+        m = MAX_DISTINCT_WEIGHTS + 1
+        spec = validate_spec(1, [((k,), 1) for k in range(1, m + 1)], (0,))
+        with pytest.raises(TooManyWeights, match=f"{m} distinct weights"):
+            enumerate_critical_components(spec, (1,))
+        assert issubclass(TooManyWeights, ValueError)
 
     def test_minimum_component_has_index_zero(self):
         # whenever the level is nonempty, the component at the target itself

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from momentmorse.exactlin import (
     DimensionMismatch,
@@ -142,6 +144,86 @@ class TestLinearSolvers:
         assert len(basis) == 2
         for v in basis:
             assert dot(rv(1, 1, 0), v) == 0
+
+
+# -- property tests of the elimination kernel against sympy ------------------
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None)
+
+entries = st.one_of(st.just(F(0)),
+                    st.builds(F, st.integers(-6, 6), st.integers(1, 5)))
+
+
+@st.composite
+def matrices(draw, min_rows=0):
+    """Rows of one length, with dependent and zero rows mixed in."""
+    n = draw(st.integers(0, 6))
+    row = st.lists(entries, min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(row, min_size=min_rows, max_size=5))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(entries)
+        rows.insert(draw(st.integers(0, len(rows))),
+                    tuple(x + c * y for x, y in zip(a, b)))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), (F(0),) * n)
+    return rows
+
+
+def sym(rows, width):
+    return sympy.Matrix(len(rows), width,
+                        [sympy.Rational(e.numerator, e.denominator)
+                         for row in rows for e in row])
+
+
+def fracs(column):
+    return tuple(F(int(e.p), int(e.q)) for e in column)
+
+
+class TestEliminationProperties:
+    @PROPERTY
+    @given(matrices())
+    def test_rank_matches_sympy(self, rows):
+        width = len(rows[0]) if rows else 0
+        assert rational_rank(rows) == sym(rows, width).rank()
+
+    @PROPERTY
+    @given(matrices(min_rows=1))
+    def test_kernel_matches_sympy_nullspace(self, rows):
+        expected = [fracs(v) for v in sym(rows, len(rows[0])).nullspace()]
+        assert kernel_basis(rows) == expected
+
+    @PROPERTY
+    @given(matrices(min_rows=1), st.data())
+    def test_solve_consistent_against_sympy(self, rows, data):
+        n = len(rows[0])
+        if data.draw(st.booleans()):  # consistent by construction
+            x0 = data.draw(st.lists(entries, min_size=n, max_size=n))
+            rhs = [dot(row, tuple(x0)) for row in rows]
+        else:
+            rhs = data.draw(st.lists(entries, min_size=len(rows),
+                                     max_size=len(rows)))
+        a = sym(rows, n)
+        consistent = a.rank() == a.row_join(sym([(b,) for b in rhs], 1)).rank()
+        x = solve_consistent([list(row) for row in rows], rhs)
+        assert (x is not None) == consistent
+        if x is not None:
+            assert [dot(row, tuple(x)) for row in rows] == rhs
+            pivots = a.rref()[1]
+            assert all(v == 0 for c, v in enumerate(x) if c not in pivots)
+
+    @PROPERTY
+    @given(matrices(min_rows=1), st.integers(1, 3), st.data())
+    def test_mixed_lengths_rejected(self, rows, extra, data):
+        ragged = list(rows)
+        ragged.insert(data.draw(st.integers(0, len(ragged))),
+                      (F(1),) * (len(rows[0]) + extra))
+        with pytest.raises(DimensionMismatch):
+            rational_rank(ragged)
+        with pytest.raises(DimensionMismatch):
+            kernel_basis(ragged)
+        with pytest.raises(DimensionMismatch):
+            solve_consistent(ragged, [F(0)] * len(ragged))
 
 
 class TestSimplex:

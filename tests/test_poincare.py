@@ -6,14 +6,18 @@ import random
 
 import pytest
 
+from momentmorse import poincare
+from momentmorse.critical import MAX_DISTINCT_WEIGHTS, TooManyWeights
 from momentmorse.poincare import (
     EmptyLevelError,
     PoincareSeries,
+    ResidualDenominatorError,
     SingularValueError,
     betti_numbers,
     component_series,
     equivariant_series,
     is_regular_value,
+    quotient_betti,
     series_add,
     series_make,
     series_normalize,
@@ -106,6 +110,12 @@ class TestRegularValues:
         # on the mu_1 ray from the shift
         assert not is_regular_value(c3_spec(), (-1, 1))
 
+    def test_weight_cap(self):
+        m = MAX_DISTINCT_WEIGHTS + 1
+        spec = validate_spec(1, [((k,), 1) for k in range(1, m + 1)], (0,))
+        with pytest.raises(TooManyWeights):
+            is_regular_value(spec, (1,))
+
 
 class TestBettiNumbers:
     def test_two_sphere(self):
@@ -124,6 +134,21 @@ class TestBettiNumbers:
         spec = validate_spec(1, [((1,), 1)], (0,))
         with pytest.raises(EmptyLevelError):
             betti_numbers(spec, (-1,))
+
+    def test_empty_level_skips_regularity_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("regularity scanned on an empty level")
+        monkeypatch.setattr(poincare, "is_regular_value", no_scan)
+        spec = validate_spec(1, [((1,), 1)], (0,))
+        with pytest.raises(EmptyLevelError):
+            betti_numbers(spec, (-1,))
+
+    def test_quotient_betti_reads_the_series(self):
+        assert quotient_betti(equivariant_series(c3_spec(), (0, 0))) == (1, 0, 1)
+        with pytest.raises(EmptyLevelError):
+            quotient_betti(series_zero())
+        with pytest.raises(ResidualDenominatorError):
+            quotient_betti(series_make((1,), 1))
 
 
 class TestRandomSpecInvariants:
