@@ -11,9 +11,11 @@ no floating point enters a spec:
 Unknown keys are rejected.  All output is deterministic: identical inputs,
 flags and seeds produce byte-identical text, CSV and SVG.
 
-Exit codes: 0 success, 1 input error, 2 verification or consistency
-failure, or a run the engine cannot finish (too many distinct weights, a
-flow that diverges or does not converge).
+Exit codes: 0 success, 1 input error (including a flag out of range:
+``--samples`` below 1, a ``--radius`` that is not finite and positive,
+``--points`` below 0), 2 verification or consistency failure, or a run the
+engine cannot finish (too many distinct weights, a flow that diverges or
+does not converge, a ``--radius`` too small to sample off a component).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class CliInputError(Exception):
 # Runs the engine cannot finish: reported on one line with exit 2.
 _ENGINE_FAILURES = (critical.TooManyWeights, degeneracy.FlowDivergence,
                     degeneracy.FlowNonConvergence, degeneracy.NotOnComponent,
+                    degeneracy.NoOffComponentSamples,
                     poincare.ResidualDenominatorError)
 
 
@@ -262,6 +265,11 @@ def run_poincare(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_verify(args) -> int:
+    if args.samples < 1:
+        raise CliInputError(f"--samples must be at least 1, got {args.samples}")
+    if not (math.isfinite(args.radius) and args.radius > 0):
+        raise CliInputError(f"--radius must be finite and positive, "
+                            f"got {args.radius}")
     spec, file_target = load_spec_document(args.spec)
     target = _resolve_target(spec, file_target, args.target)
     components = critical.enumerate_critical_components(spec, target)
@@ -316,6 +324,8 @@ def run_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def run_flow(args) -> int:
+    if args.points < 0:
+        raise CliInputError(f"--points must be at least 0, got {args.points}")
     spec, file_target = load_spec_document(args.spec)
     target = _resolve_target(spec, file_target, args.target)
     lines = _header("flow", spec, target)

@@ -19,6 +19,13 @@ those statements against honest floating-point analysis:
 * fibrewise Newton maximization over the negative coordinate subspace,
   recovering the minimizing manifold as the fibrewise critical locus.
 
+Minimal degeneracy is local, so it is checked one component at a time
+from data built once: the numeric model per (spec, target), and per
+(spec, component) the exact polytope system, the float interior point and
+vertices the sampler mixes, the coordinate splits and the float value.
+Both sit in small bounded caches keyed on the immutable inputs; their
+arrays are read-only.
+
 Tolerances are fixed here and reported alongside every result: TAU_ZERO
 for spectral zero thresholds, EPS_GRAD for flow convergence, MATCH_TOL for
 momentum matching, NEWTON_TOL for fiber maximization, STEP_SLACK for the
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 import math
 from itertools import combinations
 from typing import Optional, Sequence
@@ -82,10 +90,21 @@ class NotOnComponent(ValueError):
     """The supplied point does not lie on the requested component."""
 
 
+class NoOffComponentSamples(ValueError):
+    """Every minimizing sample fell within dist_floor of the component."""
+
+
 def rng_stream(seed: int, stream: int) -> np.random.Generator:
     """Counter-based splitting: one Philox stream per (seed, index)."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _floats(vec: Sequence) -> np.ndarray:
+    """Read-only float copy of an exact vector, safe to share from a cache."""
+    out = np.array([float(e) for e in vec])
+    out.setflags(write=False)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +123,16 @@ class _Model:
 
 def _model(spec: ActionSpec, target: Optional[Sequence]) -> _Model:
     xi = as_ratvec(target, spec.rank) if target is not None else zero_vec(spec.rank)
+    return _model_at(spec, xi)
+
+
+@lru_cache(maxsize=16)
+def _model_at(spec: ActionSpec, xi: RatVec) -> _Model:
     mu = spec.coordinate_weight_matrix()
     gram = mu @ mu.T
-    return _Model(mu=mu, gram=gram,
-                  beta=np.array([float(e) for e in spec.shift]),
-                  xi=np.array([float(e) for e in xi]),
+    mu.setflags(write=False)
+    gram.setflags(write=False)
+    return _Model(mu=mu, gram=gram, beta=_floats(spec.shift), xi=_floats(xi),
                   n=spec.total_multiplicity,
                   gram_scale=float(np.max(np.abs(gram))) if len(gram) else 0.0)
 
@@ -123,10 +147,13 @@ def _pairings(model: _Model, z: np.ndarray) -> np.ndarray:
     return model.mu @ (_phi(model, z) - model.xi)
 
 
-def f_value(spec: ActionSpec, target: Optional[Sequence], z: np.ndarray) -> float:
-    model = _model(spec, target)
+def _f(model: _Model, z: np.ndarray) -> float:
     d = _phi(model, z) - model.xi
     return float(d @ d)
+
+
+def f_value(spec: ActionSpec, target: Optional[Sequence], z: np.ndarray) -> float:
+    return _f(_model(spec, target), z)
 
 
 def grad_f(spec: ActionSpec, target: Optional[Sequence], z: np.ndarray) -> np.ndarray:
@@ -165,11 +192,11 @@ def hess_f(spec: ActionSpec, target: Optional[Sequence], z: np.ndarray) -> np.nd
 
 def _flow_rate(model: _Model, z: np.ndarray) -> np.ndarray:
     """Negative gradient in complex form: zdot_j = -2 <Phi - xi, mu_(j)> z_j."""
-    return -2.0 * (model.mu @ (_phi(model, z) - model.xi)) * z
+    return -2.0 * _pairings(model, z) * z
 
 
 # ---------------------------------------------------------------------------
-# Hessian reports and eigenspaces
+# the geometry of one component
 # ---------------------------------------------------------------------------
 
 def _real_indices(coords: Sequence[int]) -> list[int]:
@@ -178,6 +205,38 @@ def _real_indices(coords: Sequence[int]) -> list[int]:
         out.extend((2 * j, 2 * j + 1))
     return out
 
+
+@dataclass(frozen=True)
+class _Geometry:
+    polytope: tuple[list[int], list[list[Fraction]], list[Fraction]]
+    zero_coords: frozenset[int]
+    interior: np.ndarray               # float squares of component_squares
+    vertices: tuple[np.ndarray, ...]   # float squares of polytope_vertices
+    e_coords: tuple[int, ...]          # complement of the minimizing coords
+    n_idx: list[int]                   # real indices of the minimizing coords
+    e_idx: list[int]                   # real indices of e_coords
+    alpha: np.ndarray                  # component value
+
+
+@lru_cache(maxsize=128)
+def _geometry(spec: ActionSpec, component: CriticalComponent) -> _Geometry:
+    polytope = _polytope_system(spec, component)
+    e_coords = tuple(j for j in range(spec.total_multiplicity)
+                     if j not in component.minimizing_coords)
+    return _Geometry(
+        polytope=polytope,
+        zero_coords=frozenset(polytope[0]),
+        interior=_floats(component_squares(spec, component)),
+        vertices=tuple(_floats(v) for v in polytope_vertices(spec, component)),
+        e_coords=e_coords,
+        n_idx=_real_indices(component.minimizing_coords),
+        e_idx=_real_indices(e_coords),
+        alpha=_floats(component.value))
+
+
+# ---------------------------------------------------------------------------
+# Hessian reports and eigenspaces
+# ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class HessianReport:
@@ -193,14 +252,38 @@ class HessianReport:
 
 def _check_on_component(spec: ActionSpec, target: Optional[Sequence],
                         component: CriticalComponent, z: np.ndarray) -> None:
-    model = _model(spec, target)
-    alpha = np.array([float(e) for e in component.value])
-    if np.linalg.norm(_phi(model, z) - alpha) >= 1e-8:
+    model, geo = _model(spec, target), _geometry(spec, component)
+    if np.linalg.norm(_phi(model, z) - geo.alpha) >= 1e-8:
         raise NotOnComponent("momentum value is not the component value")
-    zero_coords = set(spec.coordinates_of_weights(component.zero_weights))
     for j in range(model.n):
-        if j not in zero_coords and abs(z[j]) > 1e-8:
+        if j not in geo.zero_coords and abs(z[j]) > 1e-8:
             raise NotOnComponent(f"coordinate {j} is outside the component support")
+
+
+def _hessian_at(spec: ActionSpec, target: Optional[Sequence],
+                component: CriticalComponent, z: np.ndarray,
+                tau: float) -> tuple[HessianReport, np.ndarray]:
+    """The report at z and the eigenvectors of the same decomposition."""
+    _check_on_component(spec, target, component, z)
+    geo = _geometry(spec, component)
+    H = hess_f(spec, target, z)
+    eigenvalues, vectors = np.linalg.eigh(H)
+    psd_on_n = True
+    if geo.n_idx:
+        sub = H[np.ix_(geo.n_idx, geo.n_idx)]
+        psd_on_n = bool(np.linalg.eigvalsh(sub).min() > -tau)
+    neg_on_e = True
+    if geo.e_idx:
+        sub = H[np.ix_(geo.e_idx, geo.e_idx)]
+        neg_on_e = bool(np.linalg.eigvalsh(sub).max() < -tau)
+    report = HessianReport(point=z, eigenvalues=eigenvalues,
+                           negative_count=int(np.sum(eigenvalues < -tau)),
+                           zero_count=int(np.sum(np.abs(eigenvalues) <= tau)),
+                           positive_count=int(np.sum(eigenvalues > tau)),
+                           restricted_psd_on_N=psd_on_n,
+                           negative_definite_on_E=neg_on_e,
+                           tau_zero=tau)
+    return report, vectors
 
 
 def hessian_report(spec: ActionSpec, target: Optional[Sequence],
@@ -213,29 +296,20 @@ def hessian_report(spec: ActionSpec, target: Optional[Sequence],
     and the restriction to the complementary coordinates is negative
     definite.
     """
-    z = np.asarray(z, dtype=complex)
-    _check_on_component(spec, target, component, z)
-    H = hess_f(spec, target, z)
-    eigenvalues = np.linalg.eigvalsh(H)
-    negative = int(np.sum(eigenvalues < -tau))
-    zero = int(np.sum(np.abs(eigenvalues) <= tau))
-    positive = int(np.sum(eigenvalues > tau))
-    n_idx = _real_indices(component.minimizing_coords)
-    e_idx = [i for i in range(2 * spec.total_multiplicity) if i not in n_idx]
-    psd_on_n = True
-    if n_idx:
-        sub = H[np.ix_(n_idx, n_idx)]
-        psd_on_n = bool(np.linalg.eigvalsh(sub).min() > -tau)
-    neg_on_e = True
-    if e_idx:
-        sub = H[np.ix_(e_idx, e_idx)]
-        neg_on_e = bool(np.linalg.eigvalsh(sub).max() < -tau)
-    return HessianReport(point=z, eigenvalues=eigenvalues,
-                         negative_count=negative, zero_count=zero,
-                         positive_count=positive,
-                         restricted_psd_on_N=psd_on_n,
-                         negative_definite_on_E=neg_on_e,
-                         tau_zero=tau)
+    return _hessian_at(spec, target, component, np.asarray(z, dtype=complex),
+                       tau)[0]
+
+
+def _negative_span(eigenvalues: np.ndarray, vectors: np.ndarray, k: int,
+                   tau: float) -> np.ndarray:
+    dim = len(eigenvalues)
+    if k < 0 or k > dim:
+        raise ValueError(f"k={k} out of range for dimension {dim}")
+    if 0 < k < dim and eigenvalues[k] - eigenvalues[k - 1] <= tau:
+        raise SpectralGapError(
+            f"gap {eigenvalues[k] - eigenvalues[k - 1]:.3e} at k={k} "
+            f"is below tau={tau:.1e}")
+    return vectors[:, :k]
 
 
 def negative_eigenspace(spec: ActionSpec, target: Optional[Sequence],
@@ -247,17 +321,8 @@ def negative_eigenspace(spec: ActionSpec, target: Optional[Sequence],
     eigenvalue is below tau: a split across a near-degenerate pair would
     be numerically meaningless.
     """
-    z = np.asarray(z, dtype=complex)
-    H = hess_f(spec, target, z)
-    eigenvalues, vectors = np.linalg.eigh(H)
-    dim = H.shape[0]
-    if k < 0 or k > dim:
-        raise ValueError(f"k={k} out of range for dimension {dim}")
-    if 0 < k < dim and eigenvalues[k] - eigenvalues[k - 1] <= tau:
-        raise SpectralGapError(
-            f"gap {eigenvalues[k] - eigenvalues[k - 1]:.3e} at k={k} "
-            f"is below tau={tau:.1e}")
-    return vectors[:, :k]
+    eigenvalues, vectors = np.linalg.eigh(hess_f(spec, target, z))
+    return _negative_span(eigenvalues, vectors, k, tau)
 
 
 def principal_angles(basis_a: np.ndarray, basis_b: np.ndarray) -> np.ndarray:
@@ -290,16 +355,15 @@ def coordinate_subspace_basis(spec: ActionSpec, coords: Sequence[int]) -> np.nda
 def sample_component_point(spec: ActionSpec, component: CriticalComponent,
                            rng: np.random.Generator) -> np.ndarray:
     """Random point of the component: random polytope squares, random phases."""
-    q0 = component_squares(spec, component)
-    vertices = polytope_vertices(spec, component)
-    weights = rng.random(len(vertices) + 1)
+    geo = _geometry(spec, component)
+    weights = rng.random(len(geo.vertices) + 1)
     weights /= weights.sum()
     # keep half the mass on the interior point so the generic support stays positive
-    q = 0.5 * np.array([float(v) for v in q0])
+    q = 0.5 * geo.interior
     mix = 0.5 * weights
-    q += mix[0] * np.array([float(v) for v in q0])
-    for lam, vert in zip(mix[1:], vertices):
-        q += lam * np.array([float(v) for v in vert])
+    q += mix[0] * geo.interior
+    for lam, vert in zip(mix[1:], geo.vertices):
+        q += lam * vert
     radii = np.sqrt(2.0 * q)
     phases = rng.uniform(0.0, 2.0 * np.pi, spec.total_multiplicity)
     return radii * np.exp(1j * phases)
@@ -348,10 +412,11 @@ def project_to_component_polytope(
     every subset of coordinates pinned to zero gives an affine subspace,
     the foot of q on it is exact, and feasible feet are compared.
     """
-    coords, A, b = _polytope_system(spec, component)
+    geo = _geometry(spec, component)
+    coords, A, b = geo.polytope
     n = len(q)
-    outside = sum((Fraction(q[j]) ** 2 for j in range(n) if j not in coords),
-                  Fraction(0))
+    outside = sum((Fraction(q[j]) ** 2 for j in range(n)
+                   if j not in geo.zero_coords), Fraction(0))
     if not coords:
         return (outside, tuple(Fraction(0) for _ in range(n)))
     q_zero = tuple(Fraction(q[j]) for j in coords)
@@ -392,7 +457,8 @@ def verify_minimizing(spec: ActionSpec, target: Optional[Sequence],
     of the component and requires a positive fitted constant c with
     f - f(C) >= c * dist^2, where dist is the exact q-space distance to
     the component polytope of the rationalized sample.  Samples closer
-    than ``dist_floor`` (effectively on C) are excluded from the fit.
+    than ``dist_floor`` (effectively on C) are excluded from the fit;
+    NoOffComponentSamples is raised when that leaves none.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
@@ -412,8 +478,7 @@ def verify_minimizing(spec: ActionSpec, target: Optional[Sequence],
     for _ in range(samples):
         base = sample_component_point(spec, component, rng)
         z = base + _perturbation(rng, component.minimizing_coords, model.n, radius)
-        d = _phi(model, z) - model.xi
-        margin = float(d @ d) - f_crit
+        margin = _f(model, z) - f_crit
         worst = min(worst, margin)
         q = tuple(Fraction(float(v)).limit_denominator(10 ** 6)
                   for v in 0.5 * (z.real ** 2 + z.imag ** 2))
@@ -422,7 +487,7 @@ def verify_minimizing(spec: ActionSpec, target: Optional[Sequence],
             off += 1
             fitted = min(fitted, margin / dist_sq)
     if off == 0:
-        raise ValueError("no off-component samples; radius too small")
+        raise NoOffComponentSamples("no off-component samples; radius too small")
     passed = worst >= -1e-9 and fitted > 0
     return MinimizingReport(passed=passed, samples=samples, off_samples=off,
                             worst_margin=worst, fitted_quadratic=fitted,
@@ -493,15 +558,14 @@ def flow_trajectory(spec: ActionSpec, target: Optional[Sequence],
     if not np.all(np.isfinite(z0.real)) or not np.all(np.isfinite(z0.imag)):
         raise ValueError("starting point has non-finite coordinates")
     z = z0.copy()
-    d = _phi(model, z) - model.xi
-    f_prev = float(d @ d)
+    f_prev = _f(model, z)
     f_start = f_prev
     monotone = True
     drift = 0.0
     h = params.h0
     steps = 0
     while True:
-        p = model.mu @ (_phi(model, z) - model.xi)
+        p = _pairings(model, z)
         grad_norm = float(np.sqrt(np.sum((2.0 * p) ** 2 *
                                          (z.real ** 2 + z.imag ** 2))))
         if grad_norm < params.eps_g:
@@ -528,8 +592,7 @@ def flow_trajectory(spec: ActionSpec, target: Optional[Sequence],
             h *= max(0.1, 0.9 * (15.0 * scale / err) ** 0.2)
             continue
         z = y_half
-        d = _phi(model, z) - model.xi
-        f_new = float(d @ d)
+        f_new = _f(model, z)
         if f_new > f_prev + STEP_SLACK:
             monotone = False
         f_prev = f_new
@@ -542,8 +605,7 @@ def flow_trajectory(spec: ActionSpec, target: Optional[Sequence],
     matched = None
     best = params.match_tol
     for comp in components:
-        alpha = np.array([float(e) for e in comp.value])
-        dist = float(np.linalg.norm(momentum - alpha))
+        dist = float(np.linalg.norm(momentum - _floats(comp.value)))
         if dist < best:
             best = dist
             matched = comp.value
@@ -679,9 +741,12 @@ def fibrewise_critical_locus(spec: ActionSpec, target: Optional[Sequence],
     block determinant is also checked for nondegeneracy at component points.
     """
     model = _model(spec, target)
-    n = model.n
-    e_coords = [j for j in range(n) if j not in component.minimizing_coords]
-    e_idx = _real_indices(e_coords)
+    geo = _geometry(spec, component)
+    e_coords, e_idx = geo.e_coords, geo.e_idx
+    if not e_coords:
+        return FibrewiseReport(passed=True, fiber_dim=0, fibers=0,
+                               max_locus_deviation=0.0, min_block_det=np.inf,
+                               newton_failures=(), tol=tol)
     rng = rng_stream(seed, 0)
     anchor = sample_component_point(spec, component, rng)
 
@@ -689,9 +754,8 @@ def fibrewise_critical_locus(spec: ActionSpec, target: Optional[Sequence],
     # the sign of any negative pairing: that keeps the whole grid inside a
     # compatibly fibrated neighbourhood, where the fibrewise Hessian stays
     # negative definite and the locus argument applies.
-    if e_coords and component.minimizing_coords:
-        alpha = np.array([float(e) for e in component.value])
-        gap = min(abs(float(model.mu[j] @ (alpha - model.xi)))
+    if component.minimizing_coords:
+        gap = min(abs(float(model.mu[j] @ (geo.alpha - model.xi)))
                   for j in e_coords)
         mu_norms = np.linalg.norm(model.mu, axis=1)
         weight_sum = float(sum(mu_norms[j] for j in component.minimizing_coords))
@@ -706,18 +770,9 @@ def fibrewise_critical_locus(spec: ActionSpec, target: Optional[Sequence],
     dets = []
     for _ in range(5):
         point = sample_component_point(spec, component, rng)
-        if e_idx:
-            block = hess_f(spec, target, point)[np.ix_(e_idx, e_idx)]
-            dets.append(abs(float(np.linalg.det(block))))
-        else:
-            dets.append(np.inf)
+        block = hess_f(spec, target, point)[np.ix_(e_idx, e_idx)]
+        dets.append(abs(float(np.linalg.det(block))))
     min_det = min(dets)
-
-    if not e_idx:
-        return FibrewiseReport(passed=min_det > TAU_ZERO, fiber_dim=0,
-                               fibers=0, max_locus_deviation=0.0,
-                               min_block_det=min_det, newton_failures=(),
-                               tol=tol)
 
     grid_coords = list(component.minimizing_coords)[:1]
     offsets = np.linspace(-spread, spread, grid_size)
@@ -778,9 +833,6 @@ def fibrewise_critical_locus(spec: ActionSpec, target: Optional[Sequence],
 @dataclass(frozen=True)
 class LocalCoordsReport:
     passed: bool
-    index_constant: bool
-    minimizing_ok: bool
-    fiber_decrease_ok: bool
     expected_index: int
     fitted_decrease: float
 
@@ -788,50 +840,29 @@ class LocalCoordsReport:
 def local_coords_check(spec: ActionSpec, target: Optional[Sequence],
                        component: CriticalComponent, radius: float = 0.3,
                        samples: int = 50, seed: int = 0) -> LocalCoordsReport:
-    """Numeric signature of the local splitting into a minimum and a maximum.
+    """The maximum half of the local splitting into a minimum and a maximum.
 
-    (a) the Hessian's negative eigenvalue count is constant (= the index)
-    along the component; (b) f restricted to the minimizing subspace
-    exceeds the critical value away from the component; (c) along the
-    complementary coordinates f drops at least quadratically.
+    Along the complementary coordinates f drops at least quadratically:
+    the fitted c in f(z) - f(z + zeta) >= c |zeta|^2, over component points
+    z and complementary perturbations zeta, must be positive.  The other
+    half, the minimum on the minimizing subspace with the index constant
+    along the component, is condition 2 and the index check of
+    ``verify_component``.
     """
+    model = _model(spec, target)
+    e_coords = _geometry(spec, component).e_coords
     rng = rng_stream(seed, 1)
-    index_constant = True
-    for _ in range(5):
-        point = sample_component_point(spec, component, rng)
-        report = hessian_report(spec, target, component, point)
-        if report.negative_count != component.index:
-            index_constant = False
-
-    minimizing_ok = verify_minimizing(spec, target, component,
-                                      radius=radius, samples=samples,
-                                      seed=seed + 1).passed
-
-    n = spec.total_multiplicity
-    e_coords = [j for j in range(n) if j not in component.minimizing_coords]
     fitted = np.inf
-    if e_coords:
-        model = _model(spec, target)
-        for _ in range(samples):
-            point = sample_component_point(spec, component, rng)
-            zeta = _perturbation(rng, e_coords, n, radius)
-            norm_sq = float(np.sum(np.abs(zeta) ** 2))
-            if norm_sq < 1e-12:
-                continue
-            d0 = _phi(model, point) - model.xi
-            d1 = _phi(model, point + zeta) - model.xi
-            drop = float(d0 @ d0) - float(d1 @ d1)
-            fitted = min(fitted, drop / norm_sq)
-        fiber_decrease_ok = fitted > 0
-    else:
-        fiber_decrease_ok = True
-
-    return LocalCoordsReport(
-        passed=index_constant and minimizing_ok and fiber_decrease_ok,
-        index_constant=index_constant, minimizing_ok=minimizing_ok,
-        fiber_decrease_ok=fiber_decrease_ok,
-        expected_index=component.index,
-        fitted_decrease=float(fitted) if e_coords else np.inf)
+    for _ in range(samples if e_coords else 0):
+        point = sample_component_point(spec, component, rng)
+        zeta = _perturbation(rng, e_coords, model.n, radius)
+        norm_sq = float(np.sum(np.abs(zeta) ** 2))
+        if norm_sq < 1e-12:
+            continue
+        drop = _f(model, point) - _f(model, point + zeta)
+        fitted = min(fitted, drop / norm_sq)
+    return LocalCoordsReport(passed=fitted > 0, expected_index=component.index,
+                             fitted_decrease=float(fitted))
 
 
 # ---------------------------------------------------------------------------
@@ -860,11 +891,13 @@ class ComponentVerification:
 def verify_component(spec: ActionSpec, target: Optional[Sequence],
                      component: CriticalComponent, samples: int = 200,
                      radius: float = 0.5, seed: int = 0) -> ComponentVerification:
-    """Run every local check of minimal degeneracy on one component."""
+    """Run every local check of minimal degeneracy on one component.
+
+    Each check runs once: ``local_coords_ok`` combines the index check,
+    condition 2 and the fibre-decrease test of ``local_coords_check``.
+    """
     rng = rng_stream(seed, 2)
-    e_coords = [j for j in range(spec.total_multiplicity)
-                if j not in component.minimizing_coords]
-    e_basis = coordinate_subspace_basis(spec, e_coords)
+    e_basis = coordinate_subspace_basis(spec, _geometry(spec, component).e_coords)
 
     condition1 = True
     index_match = True
@@ -872,12 +905,13 @@ def verify_component(spec: ActionSpec, target: Optional[Sequence],
     max_angle = 0.0
     for _ in range(5):
         point = sample_component_point(spec, component, rng)
-        report = hessian_report(spec, target, component, point)
+        report, vectors = _hessian_at(spec, target, component, point, TAU_ZERO)
         condition1 = condition1 and report.restricted_psd_on_N \
             and report.negative_definite_on_E
         index_match = index_match and report.negative_count == component.index
         try:
-            span = negative_eigenspace(spec, target, point, component.index)
+            span = _negative_span(report.eigenvalues, vectors, component.index,
+                                  TAU_ZERO)
             angles = principal_angles(span, e_basis)
             angle = float(angles.max()) if angles.size else 0.0
         except (SpectralGapError, ValueError):
@@ -888,7 +922,7 @@ def verify_component(spec: ActionSpec, target: Optional[Sequence],
     minimizing = verify_minimizing(spec, target, component, radius=radius,
                                    samples=samples, seed=seed)
     fibrewise = fibrewise_critical_locus(spec, target, component, seed=seed)
-    local = local_coords_check(spec, target, component, seed=seed)
+    decrease = local_coords_check(spec, target, component, seed=seed)
 
     return ComponentVerification(
         value=component.value,
@@ -897,6 +931,6 @@ def verify_component(spec: ActionSpec, target: Optional[Sequence],
         index_match=index_match,
         eigenspace_aligned=aligned,
         fibrewise_ok=fibrewise.passed,
-        local_coords_ok=local.passed,
+        local_coords_ok=index_match and minimizing.passed and decrease.passed,
         worst_margin=minimizing.worst_margin,
         max_principal_angle=max_angle)

@@ -30,6 +30,44 @@ C3_DOC = {
     "target": ["0", "0"],
 }
 
+C3_ECHO = ('spec: {"rank": 2, "weights": [{"weight": [1, 0], "multiplicity": 1}, '
+           '{"weight": [0, 1], "multiplicity": 1}, '
+           '{"weight": [1, -1], "multiplicity": 1}], '
+           '"shift": ["-3", "1"], "target": ["0", "0"]}\n')
+
+_ALL_PASS = ("condition1=pass condition2=pass index=pass eigenspace=pass "
+             "fibrewise=pass local-coords=pass")
+
+# Full stdout of `verify --samples 40 --seed 42` and `flow --points 40
+# --seed 7` on C3, pinned byte for byte: the certification refactors must
+# leave every printed figure unchanged.
+C3_VERIFY_40 = (
+    "command: verify\n" + C3_ECHO +
+    "warnings: none\n"
+    "seed: 42; samples: 40; radius: 0.5\n"
+    "tolerances: tau_zero=1e-09 eps_grad=1e-08 match_tol=1e-05 "
+    "newton_tol=1e-10 step_slack=1e-12\n"
+    "criterion equivalence: pass (40 exact points)\n"
+    f"component (-3, 1): {_ALL_PASS} worst-margin=3.573e-04 max-angle=0.000e+00\n"
+    f"component (-1, -1): {_ALL_PASS} worst-margin=1.315e-04 max-angle=0.000e+00\n"
+    f"component (0, 0): {_ALL_PASS} worst-margin=2.361e-03 max-angle=0.000e+00\n"
+    f"component (0, 1): {_ALL_PASS} worst-margin=4.131e-02 max-angle=0.000e+00\n"
+    "verdict: pass\n")
+
+C3_FLOW_40 = (
+    "command: flow\n" + C3_ECHO +
+    "warnings: none\n"
+    "points: 40; seed: 7\n"
+    "stratum (-3, 1): 4\n"
+    "stratum (-1, -1): 4\n"
+    "stratum (0, 0): 60\n"
+    "stratum (0, 1): 4\n"
+    "unmatched: 0\n"
+    "monotone: pass\n"
+    "max-arg-drift: 1.554e-15\n"
+    "frontier: pass\n"
+    "verdict: pass\n")
+
 
 @pytest.fixture
 def c3_file(tmp_path):
@@ -177,6 +215,10 @@ class TestVerify:
         assert ("tolerances: tau_zero=1e-09 eps_grad=1e-08 match_tol=1e-05 "
                 "newton_tol=1e-10 step_slack=1e-12\n") in out
 
+    def test_c3_output_pinned(self, c3_file, capsys):
+        assert main(["verify", c3_file, "--samples", "40", "--seed", "42"]) == 0
+        assert capsys.readouterr().out == C3_VERIFY_40
+
     def test_corrupted_table_exits_2(self, c3_file, capsys):
         assert main(["verify", c3_file, "--samples", "40", "--corrupt"]) == 2
         out = capsys.readouterr().out
@@ -186,10 +228,7 @@ class TestVerify:
 class TestFlow:
     def test_c3_strata(self, c3_file, capsys):
         assert main(["flow", c3_file, "--points", "40", "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "unmatched: 0" in out
-        assert "frontier: pass" in out
-        assert "verdict: pass" in out
+        assert capsys.readouterr().out == C3_FLOW_40
 
     def test_zero_points(self, c3_file, capsys):
         assert main(["flow", c3_file, "--points", "0"]) == 0
@@ -275,6 +314,28 @@ class TestEngineFailures:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: gradient norm 1e-3 after 100 steps\n"
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize("flags", [
+        ["verify", "--samples", "0"], ["verify", "--samples", "-2"],
+        ["verify", "--radius", "0"], ["verify", "--radius", "-0.5"],
+        ["verify", "--radius", "nan"], ["verify", "--radius", "inf"],
+        ["flow", "--points", "-3"]])
+    def test_out_of_range_flag_is_an_input_error(self, c3_file, flags, capsys):
+        assert main([flags[0], c3_file] + flags[1:]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flags[1]} must be ")
+        assert captured.err.count("\n") == 1
+
+    def test_radius_too_small_exits_2(self, c3_file, capsys):
+        assert main(["verify", c3_file, "--samples", "5",
+                     "--radius", "1e-9"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: no off-component samples; "
+                                "radius too small\n")
 
 
 class TestModuleEntryPoint:

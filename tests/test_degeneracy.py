@@ -1,10 +1,14 @@
 """Numeric certification: derivatives, Hessian structure, flow, fibers."""
 
+import dataclasses
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from momentmorse import degeneracy
 from momentmorse.critical import enumerate_critical_components
 from momentmorse.degeneracy import (
     FlowParams,
@@ -26,6 +30,7 @@ from momentmorse.degeneracy import (
     verify_minimizing,
 )
 from momentmorse.weights import validate_spec
+from specgen import random_polarized_spec
 
 
 def c3_spec():
@@ -358,6 +363,53 @@ class TestVerifyComponent:
             record = verify_component(spec, (0, 0), comp, samples=80,
                                       radius=0.5, seed=21)
             assert record.passed, record
+
+    def test_local_coords_reads_the_index_check(self):
+        # local_coords_ok is index_match and condition 2 and the fibre
+        # decrease: a wrong index fails it while the decrease still holds
+        spec = c3_spec()
+        comp = c3_components()[(F(0), F(1))]
+        wrong = dataclasses.replace(comp, index=comp.index + 2)
+        assert local_coords_check(spec, (0, 0), wrong, seed=21).passed
+        record = verify_component(spec, (0, 0), wrong, samples=20, seed=21)
+        assert not record.index_match
+        assert not record.local_coords_ok
+
+
+def small_spec(seed):
+    """A specgen spec with at most 5 coordinates.
+
+    The polytope projection of verify_minimizing scans 2^k faces for k
+    zero coordinates, so larger specs would make each example slow.
+    """
+    rng = random.Random(seed)
+    while True:
+        spec, xi = random_polarized_spec(rng)
+        if spec.total_multiplicity <= 5:
+            return spec, xi
+
+
+class TestSharedGeometry:
+    @settings(max_examples=8, deadline=None, database=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_no_state_leaks_between_components(self, seed):
+        spec, xi = small_spec(seed)
+        comps = enumerate_critical_components(spec, xi)
+        degeneracy._geometry.cache_clear()
+        rng = rng_stream(seed, 0)
+        for comp in comps:
+            for _ in range(5):
+                point = sample_component_point(spec, comp, rng)
+                degeneracy._check_on_component(spec, xi, comp, point)
+
+        def records(order):
+            return [verify_component(spec, xi, comp, samples=5, seed=seed)
+                    for comp in order]
+
+        degeneracy._geometry.cache_clear()
+        forward = records(comps)
+        assert records(comps[::-1]) == forward[::-1]
+        assert records(comps + comps) == forward + forward
 
 
 class TestFlowExactCrossCheck:
