@@ -67,8 +67,7 @@ print(f"  start f = {result.f_start:.4f}, limit f = {result.f_limit:.2e}, "
       f"{result.steps} steps")
 print(f"  limit momentum {np.round(result.limit_momentum, 8)} matched to "
       f"{format_vector(result.matched_component)}")
-print(f"  f monotone: {result.f_monotone}, "
-      f"phase drift {result.max_arg_drift:.1e}")
+print(f"  f monotone: {result.f_monotone}")
 print()
 
 print("Stratification survey (random ball + near-component ensembles)")

@@ -18,7 +18,6 @@ from .critical import (
     polytope_vertices,
 )
 from .degeneracy import (
-    FlowParams,
     FlowResult,
     HessianReport,
     fibrewise_critical_locus,
@@ -67,7 +66,7 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionSpec", "CriticalComponent", "FlowParams", "FlowResult",
+    "ActionSpec", "CriticalComponent", "FlowResult",
     "HessianReport", "PoincareSeries", "Rat", "RatVec", "SpecError",
     "TooManyWeights", "WeightDatum", "as_ratvec", "betti_numbers",
     "component_squares", "cone_member", "criterion_equivalence_sample",

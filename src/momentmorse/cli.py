@@ -341,7 +341,6 @@ def run_flow(args) -> int:
         lines.append(f"stratum {format_vector(value)}: {count}")
     lines.append(f"unmatched: {report.unmatched}")
     lines.append(f"monotone: {'pass' if report.all_monotone else 'FAIL'}")
-    lines.append(f"max-arg-drift: {report.max_arg_drift:.3e}")
     frontier_ok = report.stable_frontier_ok and report.descent_frontier_ok
     lines.append(f"frontier: {'pass' if frontier_ok else 'FAIL'}")
     failed = report.unmatched > 0 or not frontier_ok or not report.all_monotone

@@ -31,6 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -90,6 +91,16 @@ class CriticalComponent:
     witnesses: tuple[tuple[int, ...], ...]
     generic_support: tuple[int, ...]
     stabilizer_rank: int
+
+    @cached_property
+    def _hash(self) -> int:
+        # components key the certifier's caches: hash the Fractions once
+        return hash((self.value, self.f_value, self.zero_weights,
+                     self.negative_weights, self.index, self.minimizing_coords,
+                     self.witnesses, self.generic_support, self.stabilizer_rank))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _lex_key(vec: RatVec):

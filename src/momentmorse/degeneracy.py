@@ -13,8 +13,9 @@ those statements against honest floating-point analysis:
   exceeds the critical value away from the component, with a fitted
   quadratic margin (distances measured exactly in radial-square space by
   projection onto the component polytope);
-* negative-gradient-flow trajectories (adaptive classical Runge-Kutta with
-  step doubling), stratum assignment by matching limit momenta against the
+* negative-gradient-flow trajectories in the radial squares q = |z|^2 / 2
+  (adaptive classical Runge-Kutta with step doubling; the phases never
+  move), stratum assignment by matching limit momenta against the
   enumerated values, and frontier checks;
 * fibrewise Newton maximization over the negative coordinate subspace,
   recovering the minimizing manifold as the fibrewise critical locus.
@@ -26,8 +27,8 @@ vertices the sampler mixes, the coordinate splits and the float value.
 Both sit in small bounded caches keyed on the immutable inputs; their
 arrays are read-only.
 
-Tolerances are fixed here and reported alongside every result: TAU_ZERO
-for spectral zero thresholds, EPS_GRAD for flow convergence, MATCH_TOL for
+Tolerances are module constants, printed by ``verify``: TAU_ZERO for
+spectral zero thresholds, EPS_GRAD for flow convergence, MATCH_TOL for
 momentum matching, NEWTON_TOL for fiber maximization, STEP_SLACK for the
 per-step monotonicity allowance.
 
@@ -39,7 +40,7 @@ the spec untouched and can run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 import math
@@ -63,13 +64,23 @@ from .exactlin import (
     solve_consistent,
     zero_vec,
 )
-from .weights import ActionSpec, polarization_certificate
+from .weights import ActionSpec, polarization_certificate, squares_of_point
 
 TAU_ZERO = 1e-9
 EPS_GRAD = 1e-8
 MATCH_TOL = 1e-5
 NEWTON_TOL = 1e-10
 STEP_SLACK = 1e-12
+
+# the flow: first step, local error tolerances, divergence guard on |z|, step
+# budget; the survey: radius of the random ball, size of near-component kicks
+FLOW_H0 = 0.01
+FLOW_ATOL = 1e-10
+FLOW_RTOL = 1e-10
+DIVERGE_NORM = 1e8
+MAX_FLOW_STEPS = 1_000_000
+BALL_RADIUS = 5.0
+NEAR_DELTA = 1e-2
 
 _MASK64 = (1 << 64) - 1
 
@@ -137,23 +148,23 @@ def _model_at(spec: ActionSpec, xi: RatVec) -> _Model:
                   gram_scale=float(np.max(np.abs(gram))) if len(gram) else 0.0)
 
 
-def _phi(model: _Model, z: np.ndarray) -> np.ndarray:
-    q = 0.5 * (z.real ** 2 + z.imag ** 2)
+def _phi(model: _Model, q: np.ndarray) -> np.ndarray:
+    """Momentum value of the radial squares q."""
     return model.beta + q @ model.mu
 
 
-def _pairings(model: _Model, z: np.ndarray) -> np.ndarray:
-    """<Phi(z) - xi, mu_(j)> for every coordinate j."""
-    return model.mu @ (_phi(model, z) - model.xi)
+def _pairings(model: _Model, q: np.ndarray) -> np.ndarray:
+    """<Phi(q) - xi, mu_(j)> for every coordinate j."""
+    return model.mu @ (_phi(model, q) - model.xi)
 
 
-def _f(model: _Model, z: np.ndarray) -> float:
-    d = _phi(model, z) - model.xi
+def _f(model: _Model, q: np.ndarray) -> float:
+    d = _phi(model, q) - model.xi
     return float(d @ d)
 
 
 def f_value(spec: ActionSpec, target: Optional[Sequence], z: np.ndarray) -> float:
-    return _f(_model(spec, target), z)
+    return _f(_model(spec, target), squares_of_point(z))
 
 
 def grad_f(spec: ActionSpec, target: Optional[Sequence], z: np.ndarray) -> np.ndarray:
@@ -164,7 +175,7 @@ def grad_f(spec: ActionSpec, target: Optional[Sequence], z: np.ndarray) -> np.nd
     """
     model = _model(spec, target)
     z = np.asarray(z, dtype=complex)
-    p = _pairings(model, z)
+    p = _pairings(model, squares_of_point(z))
     g = np.empty(2 * model.n)
     g[0::2] = 2.0 * p * z.real
     g[1::2] = 2.0 * p * z.imag
@@ -180,7 +191,7 @@ def hess_f(spec: ActionSpec, target: Optional[Sequence], z: np.ndarray) -> np.nd
     """
     model = _model(spec, target)
     z = np.asarray(z, dtype=complex)
-    p = _pairings(model, z)
+    p = _pairings(model, squares_of_point(z))
     w = np.empty(2 * model.n)
     w[0::2] = z.real
     w[1::2] = z.imag
@@ -188,11 +199,6 @@ def hess_f(spec: ActionSpec, target: Optional[Sequence], z: np.ndarray) -> np.nd
     H = 2.0 * np.outer(w, w) * gram2
     H[np.diag_indices_from(H)] += np.repeat(2.0 * p, 2)
     return H
-
-
-def _flow_rate(model: _Model, z: np.ndarray) -> np.ndarray:
-    """Negative gradient in complex form: zdot_j = -2 <Phi - xi, mu_(j)> z_j."""
-    return -2.0 * _pairings(model, z) * z
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,7 @@ class HessianReport:
 def _check_on_component(spec: ActionSpec, target: Optional[Sequence],
                         component: CriticalComponent, z: np.ndarray) -> None:
     model, geo = _model(spec, target), _geometry(spec, component)
-    if np.linalg.norm(_phi(model, z) - geo.alpha) >= 1e-8:
+    if np.linalg.norm(_phi(model, squares_of_point(z)) - geo.alpha) >= 1e-8:
         raise NotOnComponent("momentum value is not the component value")
     for j in range(model.n):
         if j not in geo.zero_coords and abs(z[j]) > 1e-8:
@@ -478,10 +484,10 @@ def verify_minimizing(spec: ActionSpec, target: Optional[Sequence],
     for _ in range(samples):
         base = sample_component_point(spec, component, rng)
         z = base + _perturbation(rng, component.minimizing_coords, model.n, radius)
-        margin = _f(model, z) - f_crit
+        squares = squares_of_point(z)
+        margin = _f(model, squares) - f_crit
         worst = min(worst, margin)
-        q = tuple(Fraction(float(v)).limit_denominator(10 ** 6)
-                  for v in 0.5 * (z.real ** 2 + z.imag ** 2))
+        q = tuple(Fraction(float(v)).limit_denominator(10 ** 6) for v in squares)
         dist_sq = float(project_to_component_polytope(spec, component, q)[0])
         if dist_sq > dist_floor ** 2:
             off += 1
@@ -499,17 +505,6 @@ def verify_minimizing(spec: ActionSpec, target: Optional[Sequence],
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class FlowParams:
-    h0: float = 0.01
-    eps_g: float = EPS_GRAD
-    max_steps: int = 1_000_000
-    match_tol: float = MATCH_TOL
-    atol: float = 1e-10
-    rtol: float = 1e-10
-    diverge_norm: float = 1e8
-
-
-@dataclass(frozen=True)
 class FlowResult:
     start: np.ndarray
     limit: np.ndarray
@@ -517,39 +512,35 @@ class FlowResult:
     matched_component: Optional[RatVec]
     steps: int
     f_monotone: bool
-    max_arg_drift: float
     f_start: float
     f_limit: float
     grad_norm: float
 
 
-def _rk4(model: _Model, z: np.ndarray, h: float) -> np.ndarray:
-    k1 = h * _flow_rate(model, z)
-    k2 = h * _flow_rate(model, z + 0.5 * k1)
-    k3 = h * _flow_rate(model, z + 0.5 * k2)
-    k4 = h * _flow_rate(model, z + k3)
-    return z + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+def _flow_rate(model: _Model, q: np.ndarray) -> np.ndarray:
+    """qdot_j = -4 <Phi(q) - xi, mu_(j)> q_j: the negative gradient flow in q."""
+    return -4.0 * _pairings(model, q) * q
 
 
-def _arg_drift(z0: np.ndarray, z1: np.ndarray) -> float:
-    drift = 0.0
-    for a, b in zip(z0, z1):
-        if abs(a) > 1e-100 and abs(b) > 1e-100:
-            d = abs(np.angle(b) - np.angle(a)) % (2.0 * np.pi)
-            drift = max(drift, min(d, 2.0 * np.pi - d))
-    return drift
+def _rk4(model: _Model, q: np.ndarray, h: float) -> np.ndarray:
+    k1 = h * _flow_rate(model, q)
+    k2 = h * _flow_rate(model, q + 0.5 * k1)
+    k3 = h * _flow_rate(model, q + 0.5 * k2)
+    k4 = h * _flow_rate(model, q + k3)
+    return q + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
 
 
 def flow_trajectory(spec: ActionSpec, target: Optional[Sequence],
-                    z0: np.ndarray, params: FlowParams = FlowParams(),
+                    z0: np.ndarray,
                     components: Optional[Sequence[CriticalComponent]] = None
                     ) -> FlowResult:
     """Integrate the negative gradient flow from z0 until the gradient dies.
 
-    Classical Runge-Kutta with step-doubling control; each coordinate is
-    multiplied by a real factor along the flow, so phases are conserved and
-    their drift is tracked as a diagnostic.  The limit momentum is matched
-    against the enumerated critical values within ``params.match_tol``.
+    zdot_j = -2 <Phi - xi, mu_(j)> z_j scales each coordinate by a real
+    factor, so classical Runge-Kutta with step-doubling control integrates
+    the radial squares q, and the phases of z0 are carried to the limit.
+    The limit momentum is matched against the enumerated critical values
+    within MATCH_TOL.
     """
     model = _model(spec, target)
     if components is None:
@@ -557,62 +548,60 @@ def flow_trajectory(spec: ActionSpec, target: Optional[Sequence],
     z0 = np.asarray(z0, dtype=complex)
     if not np.all(np.isfinite(z0.real)) or not np.all(np.isfinite(z0.imag)):
         raise ValueError("starting point has non-finite coordinates")
-    z = z0.copy()
-    f_prev = _f(model, z)
+    q0 = squares_of_point(z0)
+    q = q0
+    f_prev = _f(model, q)
     f_start = f_prev
     monotone = True
-    drift = 0.0
-    h = params.h0
+    h = FLOW_H0
     steps = 0
     while True:
-        p = _pairings(model, z)
-        grad_norm = float(np.sqrt(np.sum((2.0 * p) ** 2 *
-                                         (z.real ** 2 + z.imag ** 2))))
-        if grad_norm < params.eps_g:
+        p = _pairings(model, q)
+        grad_norm = float(np.sqrt(8.0 * np.sum(p ** 2 * q)))
+        if grad_norm < EPS_GRAD:
             break
-        if float(np.linalg.norm(z)) > params.diverge_norm:
-            raise FlowDivergence(f"|z| exceeded {params.diverge_norm:.1e}")
-        if steps >= params.max_steps:
+        if math.sqrt(2.0 * float(np.sum(q))) > DIVERGE_NORM:
+            raise FlowDivergence(f"|z| exceeded {DIVERGE_NORM:.1e}")
+        if steps >= MAX_FLOW_STEPS:
             raise FlowNonConvergence(
                 f"gradient norm {grad_norm:.3e} after {steps} steps")
         # keep h inside the RK4 stability region of the stiffest coordinate
-        # rate (|2p_j|, plus a margin for the quadratic coupling): outside it
+        # rate (|4p_j|, plus a margin for the quadratic coupling): outside it
         # the iteration oscillates across flat minima and breaks monotonicity
-        stiffest = float(np.max(np.abs(2.0 * p))) if model.n else 0.0
-        stiffest = max(stiffest,
-                       2.0 * float(np.max(np.abs(z)) ** 2) * model.gram_scale)
-        if stiffest > 0.0:
-            h = min(h, 2.5 / stiffest)
-        y_full = _rk4(model, z, h)
-        y_half = _rk4(model, _rk4(model, z, 0.5 * h), 0.5 * h)
+        stiffest = 4.0 * max(float(np.max(np.abs(p))),
+                             float(np.max(q)) * model.gram_scale)
+        h = min(h, 2.5 / stiffest)
+        y_full = _rk4(model, q, h)
+        y_half = _rk4(model, _rk4(model, q, 0.5 * h), 0.5 * h)
         err = float(np.max(np.abs(y_full - y_half)))
-        scale = params.atol + params.rtol * float(np.max(np.abs(y_half)))
+        scale = FLOW_ATOL + FLOW_RTOL * float(np.max(np.abs(y_half)))
         steps += 1
         if err > 15.0 * scale:
             h *= max(0.1, 0.9 * (15.0 * scale / err) ** 0.2)
             continue
-        z = y_half
-        f_new = _f(model, z)
+        q = y_half
+        f_new = _f(model, q)
         if f_new > f_prev + STEP_SLACK:
             monotone = False
         f_prev = f_new
-        drift = max(drift, _arg_drift(z0, z))
         if err > 0.0:
             h *= min(5.0, max(1.0, 0.9 * (15.0 * scale / err) ** 0.2))
         else:
             h *= 5.0
-    momentum = _phi(model, z)
+    momentum = _phi(model, q)
     matched = None
-    best = params.match_tol
+    best = MATCH_TOL
     for comp in components:
         dist = float(np.linalg.norm(momentum - _floats(comp.value)))
         if dist < best:
             best = dist
             matched = comp.value
-    return FlowResult(start=z0, limit=z, limit_momentum=momentum,
-                      matched_component=matched, steps=steps,
-                      f_monotone=monotone, max_arg_drift=drift,
-                      f_start=f_start, f_limit=f_prev, grad_norm=grad_norm)
+    # z0 * 1.0 is z0 bit for bit, so a start that does not move stays put
+    ratio = np.divide(q, q0, out=np.zeros_like(q), where=q0 > 0.0)
+    return FlowResult(start=z0, limit=z0 * np.sqrt(ratio),
+                      limit_momentum=momentum, matched_component=matched,
+                      steps=steps, f_monotone=monotone, f_start=f_start,
+                      f_limit=f_prev, grad_norm=grad_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -625,32 +614,29 @@ class StrataReport:
     total: int
     unmatched: int
     all_monotone: bool
-    max_arg_drift: float
     stable_frontier_ok: bool
     descent_frontier_ok: bool
     min_stable_margin: float
     properness_certified: bool
-    tolerances: dict = field(default_factory=dict)
 
 
 def survey_strata(spec: ActionSpec, target: Optional[Sequence] = None,
-                  n_random: int = 100, n_near: int = 10, ball_radius: float = 5.0,
-                  near_delta: float = 1e-2, seed: int = 0,
-                  params: FlowParams = FlowParams()) -> StrataReport:
+                  n_random: int = 100, n_near: int = 10,
+                  seed: int = 0) -> StrataReport:
     """Flow an ensemble and tabulate the strata it lands in.
 
-    Three families of starting points: random points of a ball (these find
-    the open stratum and whatever else has positive measure), near-component
-    perturbations inside the minimizing subspace (the stable side: their
-    limits must not drop below the component value; this is the frontier
-    check), and fully generic near-component perturbations (descent side:
-    their limits must not exceed the component value).
+    Three families of starting points: random points of the ball of radius
+    BALL_RADIUS (these find the open stratum and whatever else has positive
+    measure), near-component perturbations of size NEAR_DELTA inside the
+    minimizing subspace (the stable side: their limits must not drop below
+    the component value; this is the frontier check), and fully generic
+    near-component perturbations (descent side: their limits must not
+    exceed the component value).
     """
     components = enumerate_critical_components(spec, target)
     counts: dict[RatVec, int] = {comp.value: 0 for comp in components}
     unmatched = 0
     monotone = True
-    drift = 0.0
     stable_ok = True
     descent_ok = True
     min_stable_margin = np.inf
@@ -658,11 +644,10 @@ def survey_strata(spec: ActionSpec, target: Optional[Sequence] = None,
     total = 0
 
     def run(z0: np.ndarray) -> FlowResult:
-        nonlocal unmatched, monotone, drift, total
-        result = flow_trajectory(spec, target, z0, params, components)
+        nonlocal unmatched, monotone, total
+        result = flow_trajectory(spec, target, z0, components)
         total += 1
         monotone = monotone and result.f_monotone
-        drift = max(drift, result.max_arg_drift)
         if result.matched_component is None:
             unmatched += 1
         else:
@@ -677,7 +662,7 @@ def survey_strata(spec: ActionSpec, target: Optional[Sequence] = None,
         norm = np.linalg.norm(raw)
         if norm == 0.0:
             continue
-        z0 = raw / norm * ball_radius * rng.random() ** (1.0 / (2 * n))
+        z0 = raw / norm * BALL_RADIUS * rng.random() ** (1.0 / (2 * n))
         run(z0)
 
     f_of = {comp.value: float(comp.f_value) for comp in components}
@@ -686,14 +671,14 @@ def survey_strata(spec: ActionSpec, target: Optional[Sequence] = None,
             rng = rng_stream(seed, stream)
             stream += 1
             base = sample_component_point(spec, comp, rng)
-            stable = base + _perturbation(rng, comp.minimizing_coords, n, near_delta)
+            stable = base + _perturbation(rng, comp.minimizing_coords, n, NEAR_DELTA)
             result = run(stable)
             if result.matched_component is not None:
                 margin = f_of[result.matched_component] - float(comp.f_value)
                 min_stable_margin = min(min_stable_margin, margin)
                 if margin < -1e-9:
                     stable_ok = False
-            generic = base + _perturbation(rng, range(n), n, near_delta)
+            generic = base + _perturbation(rng, range(n), n, NEAR_DELTA)
             result = run(generic)
             if result.matched_component is not None:
                 if f_of[result.matched_component] > float(comp.f_value) + 1e-9:
@@ -702,12 +687,10 @@ def survey_strata(spec: ActionSpec, target: Optional[Sequence] = None,
     ordered = tuple((comp.value, counts[comp.value]) for comp in components)
     return StrataReport(
         counts=ordered, total=total, unmatched=unmatched,
-        all_monotone=monotone, max_arg_drift=drift,
+        all_monotone=monotone,
         stable_frontier_ok=stable_ok, descent_frontier_ok=descent_ok,
         min_stable_margin=float(min_stable_margin),
-        properness_certified=polarization_certificate(spec) is not None,
-        tolerances={"eps_g": params.eps_g, "match_tol": params.match_tol,
-                    "step_slack": STEP_SLACK})
+        properness_certified=polarization_certificate(spec) is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -859,7 +842,8 @@ def local_coords_check(spec: ActionSpec, target: Optional[Sequence],
         norm_sq = float(np.sum(np.abs(zeta) ** 2))
         if norm_sq < 1e-12:
             continue
-        drop = _f(model, point) - _f(model, point + zeta)
+        drop = (_f(model, squares_of_point(point))
+                - _f(model, squares_of_point(point + zeta)))
         fitted = min(fitted, drop / norm_sq)
     return LocalCoordsReport(passed=fitted > 0, expected_index=component.index,
                              fitted_decrease=float(fitted))

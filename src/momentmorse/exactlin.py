@@ -77,10 +77,6 @@ def norm_sq(u: RatVec) -> Fraction:
     return sum((a * a for a in u), Fraction(0))
 
 
-def norm_float(u: RatVec) -> float:
-    return math.sqrt(float(norm_sq(u)))
-
-
 # ---------------------------------------------------------------------------
 # elimination: rank, one solution of a consistent system, kernel bases
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ space), and the momentum map is the shifted quadratic
 where j runs over complex coordinates and mu_(j) is the weight acting on
 coordinate j.  The exact side of the evaluation works on the radial data
 q_j = |z_j|^2 / 2 (an ExactSquares vector of nonnegative rationals), which is
-all that any criticality predicate ever needs; the floating-point side works
-on honest complex coordinates.
+all that any criticality predicate ever needs.  The floating-point side
+reads the same radial data off complex points with ``squares_of_point``;
+its gradient flow integrates them directly and carries the phases along.
 
 Specs are immutable after validation and safe to share across threads; all
 evaluation functions are pure.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -60,6 +62,14 @@ class ActionSpec:
     weights: tuple[WeightDatum, ...]
     shift: RatVec
     merged_duplicates: bool = field(default=False, compare=False)
+
+    @cached_property
+    def _hash(self) -> int:
+        # specs key the certifier's caches: hash the Fractions once
+        return hash((self.rank, self.weights, self.shift))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def total_multiplicity(self) -> int:

@@ -14,7 +14,6 @@ from momentmorse.critical import (
     enumerate_critical_components,
 )
 from momentmorse.degeneracy import (
-    FlowParams,
     coordinate_subspace_basis,
     fibrewise_critical_locus,
     flow_trajectory,
@@ -38,7 +37,7 @@ from momentmorse.poincare import (
 from momentmorse.weights import validate_spec
 
 from specgen import random_polarized_spec
-from test_degeneracy import fd_gradient, fd_hessian
+from test_degeneracy import fd_gradient, fd_hessian, phase_change
 
 
 def c3_spec():
@@ -172,24 +171,24 @@ def test_criterion_8_minimal_degeneracy_certification():
 def test_criterion_9_flow_completeness():
     spec = c3_spec()
     components = enumerate_critical_components(spec, (0, 0))
-    params = FlowParams(eps_g=1e-8, max_steps=10 ** 6, match_tol=1e-5)
     ok = True
-    worst_drift = 0.0
+    worst_phase = 0.0
     for i in range(200):
         rng = rng_stream(909, i)
         raw = rng.normal(size=3) + 1j * rng.normal(size=3)
         norm = np.linalg.norm(raw)
         z0 = raw / norm * 5.0 * rng.random() ** (1.0 / 6.0)
-        result = flow_trajectory(spec, (0, 0), z0, params, components)
+        result = flow_trajectory(spec, (0, 0), z0, components)
+        phase = phase_change(z0, result.limit)
         ok = (ok and result.matched_component is not None
-              and result.f_monotone and result.max_arg_drift < 1e-9)
-        worst_drift = max(worst_drift, result.max_arg_drift)
-    survey = survey_strata(spec, (0, 0), n_random=0, n_near=10,
-                           near_delta=1e-2, seed=910, params=params)
+              and result.f_monotone and phase <= 1e-15)
+        worst_phase = max(worst_phase, phase)
+    survey = survey_strata(spec, (0, 0), n_random=0, n_near=10, seed=910)
     ok = ok and survey.unmatched == 0 and survey.stable_frontier_ok
     ok = ok and survey.min_stable_margin >= -1e-9
-    report(9, ok, f"200 trajectories converged and matched, max phase drift "
-                  f"{worst_drift:.1e}, frontier margins >= -1e-9")
+    report(9, ok, f"200 trajectories converged and matched, limit phases "
+                  f"equal the start's (max change {worst_phase:.1e}), "
+                  f"frontier margins >= -1e-9")
 
 
 def test_criterion_10_fibrewise_locus():

@@ -64,7 +64,6 @@ C3_FLOW_40 = (
     "stratum (0, 1): 4\n"
     "unmatched: 0\n"
     "monotone: pass\n"
-    "max-arg-drift: 1.554e-15\n"
     "frontier: pass\n"
     "verdict: pass\n")
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from momentmorse import degeneracy
 from momentmorse.critical import enumerate_critical_components
 from momentmorse.degeneracy import (
-    FlowParams,
+    MATCH_TOL,
+    STEP_SLACK,
     NotOnComponent,
     coordinate_subspace_basis,
     f_value,
@@ -29,7 +30,7 @@ from momentmorse.degeneracy import (
     verify_component,
     verify_minimizing,
 )
-from momentmorse.weights import validate_spec
+from momentmorse.weights import momentum_value_float, validate_spec
 from specgen import random_polarized_spec
 
 
@@ -39,6 +40,12 @@ def c3_spec():
 
 def c3_components():
     return {c.value: c for c in enumerate_critical_components(c3_spec(), (0, 0))}
+
+
+def phase_change(z0, limit):
+    """Largest |arg(limit_j / z0_j)| over the nonzero coordinates of the limit."""
+    moved = limit != 0
+    return float(np.max(np.abs(np.angle(limit[moved] / z0[moved])), initial=0.0))
 
 
 def fd_gradient(spec, target, z, h=1e-5):
@@ -242,7 +249,7 @@ class TestFlow:
             result = flow_trajectory(spec, (0, 0), z0, components=comps)
             assert result.matched_component is not None
             assert result.f_monotone
-            assert result.max_arg_drift < 1e-9
+            assert phase_change(z0, result.limit) <= 1e-15
             assert result.f_limit <= result.f_start + 1e-12
 
     def test_phase_rotation_equivariance(self):
@@ -254,12 +261,127 @@ class TestFlow:
         r2 = flow_trajectory(spec, (0, 0), rotated)
         assert np.linalg.norm(r1.limit_momentum - r2.limit_momentum) < 1e-8
 
-    def test_step_budget_exhaustion_raises(self):
+    def test_step_budget_exhaustion_raises(self, monkeypatch):
         from momentmorse.degeneracy import FlowNonConvergence
+        monkeypatch.setattr(degeneracy, "MAX_FLOW_STEPS", 3)
         spec = c3_spec()
         z0 = np.array([3.0, 2.0, 1.0], dtype=complex)
         with pytest.raises(FlowNonConvergence):
-            flow_trajectory(spec, (0, 0), z0, FlowParams(max_steps=3))
+            flow_trajectory(spec, (0, 0), z0)
+
+
+def z_flow_momentum(spec, target, z0):
+    """Limit momentum of the flow integrated in complex coordinates.
+
+    The reference for ``flow_trajectory``, which integrates the radial
+    squares instead: zdot_j = -2 <Phi(z) - xi, mu_(j)> z_j by classical
+    Runge-Kutta with the same step-doubling control and stiffness cap.
+    """
+    mu = spec.coordinate_weight_matrix()
+    beta = np.array([float(e) for e in spec.shift])
+    xi = np.array([float(e) for e in target])
+    gram_scale = float(np.max(np.abs(mu @ mu.T)))
+
+    def phi(z):
+        return beta + 0.5 * (z.real ** 2 + z.imag ** 2) @ mu
+
+    def rate(z):
+        return -2.0 * (mu @ (phi(z) - xi)) * z
+
+    def rk4(z, h):
+        k1 = h * rate(z)
+        k2 = h * rate(z + 0.5 * k1)
+        k3 = h * rate(z + 0.5 * k2)
+        k4 = h * rate(z + k3)
+        return z + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+
+    z = np.asarray(z0, dtype=complex)
+    h = degeneracy.FLOW_H0
+    for _ in range(degeneracy.MAX_FLOW_STEPS):
+        p = mu @ (phi(z) - xi)
+        grad_norm = np.sqrt(np.sum((2.0 * p) ** 2 * np.abs(z) ** 2))
+        if grad_norm < degeneracy.EPS_GRAD:
+            return phi(z)
+        stiffest = max(float(np.max(np.abs(2.0 * p))),
+                       2.0 * float(np.max(np.abs(z))) ** 2 * gram_scale)
+        if stiffest > 0.0:
+            h = min(h, 2.5 / stiffest)
+        y_full = rk4(z, h)
+        y_half = rk4(rk4(z, 0.5 * h), 0.5 * h)
+        err = float(np.max(np.abs(y_full - y_half)))
+        scale = (degeneracy.FLOW_ATOL
+                 + degeneracy.FLOW_RTOL * float(np.max(np.abs(y_half))))
+        if err > 15.0 * scale:
+            h *= max(0.1, 0.9 * (15.0 * scale / err) ** 0.2)
+            continue
+        z = y_half
+        if err > 0.0:
+            h *= min(5.0, max(1.0, 0.9 * (15.0 * scale / err) ** 0.2))
+        else:
+            h *= 5.0
+    raise AssertionError("the complex-coordinate flow did not converge")
+
+
+class TestFlowAgainstComplexReference:
+    def test_same_limits_as_the_complex_flow(self):
+        spec = c3_spec()
+        comps = enumerate_critical_components(spec, (0, 0))
+        for i in range(20):
+            rng = rng_stream(4242, i)
+            raw = rng.normal(size=3) + 1j * rng.normal(size=3)
+            z0 = raw / np.linalg.norm(raw) * 5.0 * rng.random() ** (1 / 6)
+            result = flow_trajectory(spec, (0, 0), z0, components=comps)
+            momentum = z_flow_momentum(spec, (0, 0), z0)
+            matched = [c.value for c in comps
+                       if np.linalg.norm(momentum - [float(e) for e in c.value])
+                       < MATCH_TOL]
+            assert matched == [result.matched_component]
+            assert np.linalg.norm(result.limit_momentum - momentum) < MATCH_TOL
+            assert phase_change(z0, result.limit) <= 1e-15
+
+
+# The rank-1 shapes (multiplicities of distinct weights) of the certify
+# benchmark.  Rank-3 specgen specs are left out: at their far targets the
+# absolute EPS_GRAD takes hundreds of thousands of steps to reach.
+RANK1_SHAPES = ((2, 1), (1, 1, 1), (1, 2), (1, 1))
+
+
+@st.composite
+def flow_starts(draw):
+    """C3 at target 0, or a polarized rank-1 spec at shift plus a positive
+    combination of its weights; and a start with some zero coordinates."""
+    if draw(st.booleans()):
+        spec, target = c3_spec(), (0, 0)
+    else:
+        mults = draw(st.sampled_from(RANK1_SHAPES))
+        weights = draw(st.permutations([1, 2, 3]))[:len(mults)]
+        shift = draw(st.integers(-2, 2))
+        coeffs = [F(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+                  for _ in weights]
+        spec = validate_spec(1, [((w,), k) for w, k in zip(weights, mults)],
+                             (shift,))
+        target = (shift + sum(c * w for c, w in zip(coeffs, weights)),)
+    n = spec.total_multiplicity
+    radii = draw(st.lists(st.just(0.0) | st.floats(0.01, 5.0),
+                          min_size=n, max_size=n))
+    phases = draw(st.lists(st.floats(0.0, 2.0 * np.pi), min_size=n, max_size=n))
+    return spec, target, np.array(radii) * np.exp(1j * np.array(phases))
+
+
+class TestFlowProperties:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(flow_starts())
+    def test_limit_is_a_critical_point_below_the_start(self, case):
+        spec, target, z0 = case
+        comps = enumerate_critical_components(spec, target)
+        result = flow_trajectory(spec, target, z0, components=comps)
+        assert np.all(np.isfinite(result.limit))
+        # the limit's radial squares are the integrated ones
+        assert np.allclose(momentum_value_float(spec, result.limit),
+                           result.limit_momentum, rtol=1e-12, atol=1e-12)
+        assert result.matched_component in {c.value for c in comps}
+        assert result.f_limit <= result.f_start + STEP_SLACK
+        assert np.all(result.limit[z0 == 0] == 0)
 
 
 class TestSpectralGap:
