@@ -33,11 +33,13 @@ print("polarization certificate:", format_vector(eta),
 print()
 
 # Every critical value of |Phi|^2 is the foot of the perpendicular from the
-# target onto shift + span(I) for some weight subset I, kept when the foot
-# lies in the strict cone of I.  Four components survive here.
+# target onto shift + span(F) for some weight flat F (a set of weights
+# closed under linear span), kept when the foot lies in the strict cone of
+# F.  Four components survive here.  The witness-flats column lists the
+# flats of each value; the last one is its generic support.
 components = enumerate_critical_components(spec, target=(0, 0))
 print(f"{len(components)} critical components of |Phi|^2:")
-print("value      f-value  index  minimizing-coords  stab-rank  witnesses")
+print("value      f-value  index  minimizing-coords  stab-rank  witness-flats")
 for comp in components:
     print(f"{format_vector(comp.value):10s} {str(comp.f_value):8s} "
           f"{comp.index:5d}  {str(comp.minimizing_coords):17s}  "

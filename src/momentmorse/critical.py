@@ -8,11 +8,13 @@ actual critical value precisely when it can be written over I with
 strictly positive coefficients (the coefficients are the radial squares of
 a witnessing point, which must be nonzero on every weight in I).
 
-Running over all subsets of distinct weights therefore enumerates every
-critical component exactly.  Subsets of the expanded coordinates are never
-needed: repeated copies of a weight change neither the affine span nor the
-strict cone, so the enumeration costs 2^m for m distinct weights (hard
-capped; this is a desk-scale tool).
+The foot depends only on span(I), and a strictly positive representation
+over I stays one over the flat closure of I (all weights in span(I)), so
+the scan runs over the flats of the distinct weights, one foot and one
+strict-cone test each, and a witness is a flat.  A rank-r weight set has at
+most sum_{k<=r} C(m, k) flats for m distinct weights (hard capped; this is
+a desk-scale tool); repeated copies of a weight change neither the span nor
+the strict cone, so expanded coordinates are never needed.
 
 For a critical value a, writing p_mu = <mu, a - target>:
 
@@ -31,16 +33,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactlin import (
     RatVec,
     as_ratvec,
     dot,
     kernel_basis,
-    lp_max,
     nearest_affine_point,
     norm_sq,
     rational_rank,
@@ -61,13 +62,60 @@ class TooManyWeights(ValueError):
 def check_weight_cap(spec: ActionSpec) -> None:
     """Raise TooManyWeights above MAX_DISTINCT_WEIGHTS distinct weights.
 
-    Every scan over weight subsets calls this first, so an over-cap spec
-    fails at once instead of starting a 2^m scan.
+    Every scan over the weight flats calls this first, so an over-cap spec
+    fails at once instead of starting the scan.
     """
     m = len(spec.weights)
     if m > MAX_DISTINCT_WEIGHTS:
         raise TooManyWeights(f"{m} distinct weights exceeds the desk-scale cap "
                              f"of {MAX_DISTINCT_WEIGHTS}")
+
+
+class Flat(NamedTuple):
+    """A set of distinct-weight indices closed under linear span.
+
+    ``basis`` indexes members whose weights form a basis of the flat's span.
+    """
+
+    members: tuple[int, ...]
+    basis: tuple[int, ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.basis)
+
+
+@lru_cache(maxsize=256)
+def weight_flats(mus: tuple[RatVec, ...]) -> tuple[Flat, ...]:
+    """Every flat of the weights, by size and then lexicographically.
+
+    Built rank by rank: a rank-(k+1) flat is the closure of a rank-k flat
+    plus one weight outside it.  The last flat is the whole weight set.
+    The cache is keyed by the weight vectors alone, so every target and
+    every sub-action with the same weights shares one lattice.
+    """
+    def span_closure(basis: tuple[int, ...]) -> Flat:
+        normals = kernel_basis([mus[i] for i in basis])
+        return Flat(tuple(i for i, mu in enumerate(mus)
+                          if all(dot(mu, n) == 0 for n in normals)), basis)
+
+    zero_weights = tuple(i for i, mu in enumerate(mus) if not any(mu))
+    found = {zero_weights: Flat(zero_weights, ())}
+    level = list(found.values())
+    while level:
+        above = []
+        for flat in level:
+            covered = set(flat.members)
+            for w in range(len(mus)):
+                if w in covered:
+                    continue
+                cover = span_closure(flat.basis + (w,))
+                covered.update(cover.members)  # each would give this cover again
+                if cover.members not in found:
+                    found[cover.members] = cover
+                    above.append(cover)
+        level = above
+    return tuple(found[m] for m in sorted(found, key=lambda m: (len(m), m)))
 
 
 @dataclass(frozen=True)
@@ -76,8 +124,10 @@ class CriticalComponent:
 
     ``zero_weights`` / ``negative_weights`` index the distinct weights whose
     pairing with (value - target) vanishes / is negative.  ``witnesses`` are
-    the weight subsets whose perpendicular foot produced the value;
-    ``generic_support`` is the subset of zero_weights that can carry positive
+    the weight flats whose perpendicular foot is the value and admits a
+    strictly positive representation over the flat, ordered by size and
+    then lexicographically.  The last witness, ``generic_support``, contains
+    all the others: it is the set of zero weights that carry positive
     radial squares somewhere on the component, and the stabilizer of a
     generic point has rank ``stabilizer_rank``.
     """
@@ -103,10 +153,6 @@ class CriticalComponent:
         return self._hash
 
 
-def _lex_key(vec: RatVec):
-    return tuple(vec)
-
-
 def enumerate_critical_components(spec: ActionSpec,
                                   target: Optional[Sequence] = None
                                   ) -> tuple[CriticalComponent, ...]:
@@ -117,24 +163,20 @@ def enumerate_critical_components(spec: ActionSpec,
     """
     check_weight_cap(spec)
     xi = as_ratvec(target, spec.rank) if target is not None else zero_vec(spec.rank)
-    m = len(spec.weights)
     mus = spec.weight_vectors()
-    feet: dict[RatVec, list[tuple[int, ...]]] = {}
-    for size in range(m + 1):
-        for subset in combinations(range(m), size):
-            gens = [mus[i] for i in subset]
-            foot = nearest_affine_point(xi, spec.shift, gens)
-            ok, _ = strict_cone_member(vsub(foot, spec.shift), gens)
-            if ok:
-                feet.setdefault(foot, []).append(subset)
-    components = []
-    for alpha in sorted(feet, key=_lex_key):
-        components.append(_build_component(spec, xi, alpha, tuple(feet[alpha])))
-    return tuple(components)
+    feet: dict[RatVec, list[Flat]] = {}
+    for flat in weight_flats(mus):
+        foot = nearest_affine_point(xi, spec.shift, [mus[i] for i in flat.basis])
+        ok, _ = strict_cone_member(vsub(foot, spec.shift),
+                                   [mus[i] for i in flat.members])
+        if ok:
+            feet.setdefault(foot, []).append(flat)
+    return tuple(_build_component(spec, xi, alpha, feet[alpha])
+                 for alpha in sorted(feet))
 
 
 def _build_component(spec: ActionSpec, xi: RatVec, alpha: RatVec,
-                     witnesses: tuple[tuple[int, ...], ...]) -> CriticalComponent:
+                     witnesses: list[Flat]) -> CriticalComponent:
     direction = vsub(alpha, xi)
     zero, neg = [], []
     for i, w in enumerate(spec.weights):
@@ -146,7 +188,7 @@ def _build_component(spec: ActionSpec, xi: RatVec, alpha: RatVec,
     index = 2 * sum(spec.weights[i].multiplicity for i in neg)
     nonneg = [i for i in range(len(spec.weights)) if i not in neg]
     minimizing = spec.coordinates_of_weights(nonneg)
-    support, stab_rank = _support_of_value(spec, tuple(zero), alpha)
+    support = witnesses[-1]
     return CriticalComponent(
         value=alpha,
         f_value=norm_sq(direction),
@@ -154,42 +196,10 @@ def _build_component(spec: ActionSpec, xi: RatVec, alpha: RatVec,
         negative_weights=tuple(neg),
         index=index,
         minimizing_coords=minimizing,
-        witnesses=witnesses,
-        generic_support=support,
-        stabilizer_rank=stab_rank,
+        witnesses=tuple(flat.members for flat in witnesses),
+        generic_support=support.members,
+        stabilizer_rank=spec.rank - support.rank,
     )
-
-
-def _support_of_value(spec: ActionSpec, zero_weights: tuple[int, ...],
-                      alpha: RatVec) -> tuple[tuple[int, ...], int]:
-    """Weights that carry positive squares somewhere on the component.
-
-    For each zero weight w, one exact LP maximizes its coefficient over
-    {c >= 0 : sum c_w w = alpha - shift}; the weight is in the support iff
-    the optimum is positive (an unbounded optimum counts as positive).
-    Copies of one weight are interchangeable, so distinct weights suffice.
-    """
-    rhs = vsub(alpha, spec.shift)
-    k = len(zero_weights)
-    if k == 0:
-        if any(e != 0 for e in rhs):
-            raise RuntimeError("component polytope is empty; enumeration bug")
-        return ((), spec.rank)
-    A = [[spec.weights[w].weight[i] for w in zero_weights] for i in range(spec.rank)]
-    support = []
-    feasible_any = False
-    for pos, w in enumerate(zero_weights):
-        c = [Fraction(0)] * k
-        c[pos] = Fraction(1)
-        status, _, value = lp_max(A, list(rhs), c)
-        if status == "infeasible":
-            raise RuntimeError("component polytope is empty; enumeration bug")
-        feasible_any = True
-        if status == "unbounded" or (value is not None and value > 0):
-            support.append(w)
-    assert feasible_any
-    stab_rank = spec.rank - rational_rank([spec.weights[w].weight for w in support])
-    return (tuple(support), stab_rank)
 
 
 # ---------------------------------------------------------------------------

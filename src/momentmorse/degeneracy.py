@@ -72,8 +72,8 @@ MATCH_TOL = 1e-5
 NEWTON_TOL = 1e-10
 STEP_SLACK = 1e-12
 
-# the flow: first step, local error tolerances, divergence guard on |z|, step
-# budget; the survey: radius of the random ball, size of near-component kicks
+# the flow: first step, local error tolerances, divergence guard on |z|, budget
+# of accepted steps; the survey: random-ball radius, near-component kick size
 FLOW_H0 = 0.01
 FLOW_ATOL = 1e-10
 FLOW_RTOL = 1e-10
@@ -575,10 +575,10 @@ def flow_trajectory(spec: ActionSpec, target: Optional[Sequence],
         y_half = _rk4(model, _rk4(model, q, 0.5 * h), 0.5 * h)
         err = float(np.max(np.abs(y_full - y_half)))
         scale = FLOW_ATOL + FLOW_RTOL * float(np.max(np.abs(y_half)))
-        steps += 1
         if err > 15.0 * scale:
             h *= max(0.1, 0.9 * (15.0 * scale / err) ** 0.2)
             continue
+        steps += 1
         q = y_half
         f_new = _f(model, q)
         if f_new > f_prev + STEP_SLACK:

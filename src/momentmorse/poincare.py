@@ -27,11 +27,10 @@ results, so duplicated work is harmless.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional, Sequence
 
-from .critical import check_weight_cap, enumerate_critical_components
-from .exactlin import RatVec, as_ratvec, cone_member, rational_rank, vsub, zero_vec
+from .critical import check_weight_cap, enumerate_critical_components, weight_flats
+from .exactlin import RatVec, as_ratvec, cone_member, vsub, zero_vec
 from .weights import ActionSpec
 
 
@@ -232,39 +231,22 @@ def _series(spec: ActionSpec, xi: RatVec, memo: Optional[dict]) -> PoincareSerie
     return result
 
 
-def component_series(spec: ActionSpec, target: Optional[Sequence] = None
-                     ) -> list[tuple[RatVec, int, PoincareSeries]]:
-    """(value, index, series) of every critical component of the level.
-
-    Summing t^index * series over all components reconstructs
-    1/(1-t^2)^rank exactly whenever the level is nonempty.
-    """
-    xi = as_ratvec(target, spec.rank) if target is not None else zero_vec(spec.rank)
-    memo: dict = {}
-    out = []
-    for comp in enumerate_critical_components(spec, xi):
-        sub = spec.restrict(comp.zero_weights)
-        out.append((comp.value, comp.index, _series(sub, comp.value, memo)))
-    return out
-
-
 def is_regular_value(spec: ActionSpec, target: Optional[Sequence] = None) -> bool:
     """No point of the level has a positive-dimensional stabilizer.
 
-    Singular values are exactly the points of shift + cone(I) over weight
-    subsets I of rank below the torus rank (the empty subset covers the
-    shift itself).
+    Singular values are exactly the points of shift + cone(F) over weight
+    flats F of rank below the torus rank.  Cones grow with the flat, so
+    only the largest such flats are tested: those of rank r - 1, or the
+    whole weight set when it does not span.
     """
     check_weight_cap(spec)
     xi = as_ratvec(target, spec.rank) if target is not None else zero_vec(spec.rank)
     rhs = vsub(xi, spec.shift)
     mus = spec.weight_vectors()
-    for size in range(len(mus) + 1):
-        for subset in combinations(range(len(mus)), size):
-            gens = [mus[i] for i in subset]
-            if rational_rank(gens) <= spec.rank - 1 and cone_member(rhs, gens):
-                return False
-    return True
+    flats = weight_flats(mus)
+    wall_rank = min(spec.rank - 1, flats[-1].rank)
+    return not any(cone_member(rhs, [mus[i] for i in flat.members])
+                   for flat in flats if flat.rank == wall_rank)
 
 
 def quotient_betti(series: PoincareSeries) -> tuple[int, ...]:

@@ -38,6 +38,26 @@ C3_ECHO = ('spec: {"rank": 2, "weights": [{"weight": [1, 0], "multiplicity": 1},
 _ALL_PASS = ("condition1=pass condition2=pass index=pass eigenspace=pass "
              "fibrewise=pass local-coords=pass")
 
+# Full stdout and CSV of `analyze` on C3.  A witness is a weight flat whose
+# foot is the value; (0, 0) has the one witness [0,1,2].
+C3_ANALYZE = (
+    "command: analyze\n" + C3_ECHO +
+    "warnings: none\n"
+    "components: 4\n"
+    "value | f-value | index | minimizing-coords | stabilizer-rank | witnesses\n"
+    "(-3, 1) | 10 | 4 | [1] | 2 | [[]]\n"
+    "(-1, -1) | 2 | 4 | [2] | 1 | [[2]]\n"
+    "(0, 0) | 0 | 0 | [0,1,2] | 0 | [[0,1,2]]\n"
+    "(0, 1) | 1 | 2 | [0,1] | 1 | [[0]]\n"
+    "f-value groups: 0 -> (0, 0); 1 -> (0, 1); 2 -> (-1, -1); 10 -> (-3, 1)\n")
+
+C3_ANALYZE_CSV = (
+    "value,f_value,index,minimizing_coords,stabilizer_rank,witnesses\n"
+    '"(-3, 1)",10,4,[1],2,[[]]\n'
+    '"(-1, -1)",2,4,[2],1,[[2]]\n'
+    '"(0, 0)",0,0,"[0,1,2]",0,"[[0,1,2]]"\n'
+    '"(0, 1)",1,2,"[0,1]",1,[[0]]\n')
+
 # Full stdout of `verify --samples 40 --seed 42` and `flow --points 40
 # --seed 7` on C3, pinned byte for byte: the certification refactors must
 # leave every printed figure unchanged.
@@ -133,8 +153,14 @@ class TestAnalyze:
         assert "components: 4" in out
         assert "(-3, 1) | 10 | 4 | [1] | 2 | [[]]" in out
         assert "(-1, -1) | 2 | 4 | [2] | 1 | [[2]]" in out
-        assert "(0, 0) | 0 | 0 | [0,1,2] | 0 | [[0,2],[1,2],[0,1,2]]" in out
+        assert "(0, 0) | 0 | 0 | [0,1,2] | 0 | [[0,1,2]]" in out
         assert "(0, 1) | 1 | 2 | [0,1] | 1 | [[0]]" in out
+
+    def test_c3_output_and_csv_pinned(self, c3_file, tmp_path, capsys):
+        csv_path = tmp_path / "out.csv"
+        assert main(["analyze", c3_file, "--csv", str(csv_path)]) == 0
+        assert capsys.readouterr().out == C3_ANALYZE
+        assert csv_path.read_text(encoding="utf-8") == C3_ANALYZE_CSV
 
     def test_empty_weights_single_row(self, tmp_path, capsys):
         doc = {"rank": 2, "weights": [], "shift": ["5", "-1"]}

@@ -261,6 +261,22 @@ class TestFlow:
         r2 = flow_trajectory(spec, (0, 0), rotated)
         assert np.linalg.norm(r1.limit_momentum - r2.limit_momentum) < 1e-8
 
+    def test_steps_count_accepted_steps_only(self, monkeypatch):
+        # _f runs once at the start and once per accepted step; each trial
+        # step, accepted or rejected, runs three RK4 evaluations
+        counts = {"_f": 0, "_rk4": 0}
+        for name in counts:
+            original = getattr(degeneracy, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(degeneracy, name, counted)
+        z0 = np.array([4.0, 0.1, 2.0], dtype=complex)
+        result = flow_trajectory(c3_spec(), (0, 0), z0)
+        assert result.steps == counts["_f"] - 1
+        assert counts["_rk4"] // 3 > result.steps  # some trial steps were rejected
+
     def test_step_budget_exhaustion_raises(self, monkeypatch):
         from momentmorse.degeneracy import FlowNonConvergence
         monkeypatch.setattr(degeneracy, "MAX_FLOW_STEPS", 3)

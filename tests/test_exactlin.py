@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import random
+from itertools import combinations
 
 import pytest
 import sympy
@@ -249,3 +250,79 @@ class TestSimplex:
         status, x, value = lp_max(A, [F(1), F(2), F(0)], [F(1), F(0), F(0)])
         assert status == "optimal"
         assert value == 1
+
+
+# -- lp_max against brute-force vertex enumeration ---------------------------
+
+def basic_solutions(A, b, n):
+    """Every x >= 0 with A x = b whose support columns are independent.
+
+    These are the vertices of {x >= 0 : A x = b}, found over all column
+    subsets; the polyhedron is pointed, so it is empty iff there are none.
+    """
+    cols = [tuple(row[j] for row in A) for j in range(n)]
+    out = []
+    for size in range(n + 1):
+        for support in combinations(range(n), size):
+            if rational_rank([cols[j] for j in support]) < size:
+                continue
+            xs = solve_consistent([[row[j] for j in support] for row in A], b)
+            if xs is None or any(v < 0 for v in xs):
+                continue
+            x = [F(0)] * n
+            for j, v in zip(support, xs):
+                x[j] = v
+            out.append(x)
+    return out
+
+
+def brute_force_lp(A, b, c):
+    """(status, optimal value) of max c.x over {x >= 0 : A x = b}.
+
+    Unbounded iff some recession direction d >= 0, A d = 0 has c.d > 0; the
+    directions with sum(d) = 1 form a polytope whose vertices suffice.
+    """
+    n = len(c)
+    vertices = basic_solutions(A, b, n)
+    if not vertices:
+        return "infeasible", None
+    rays = basic_solutions([list(row) for row in A] + [[F(1)] * n],
+                           [F(0)] * len(A) + [F(1)], n)
+    if any(dot(tuple(c), tuple(d)) > 0 for d in rays):
+        return "unbounded", None
+    return "optimal", max(dot(tuple(c), tuple(x)) for x in vertices)
+
+
+@st.composite
+def linear_programs(draw):
+    """Small systems, feasible by construction half of the time."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(entries, min_size=n, max_size=n)
+    A = draw(st.lists(row, max_size=3))
+    if A and draw(st.booleans()):
+        A.append([x + y for x, y in zip(A[0], A[-1])])  # a dependent row
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.sampled_from([F(0), F(1, 2), F(1), F(2)]),
+                           min_size=n, max_size=n))
+        b = [dot(tuple(r), tuple(x0)) for r in A]
+    else:
+        b = draw(st.lists(entries, min_size=len(A), max_size=len(A)))
+    c = draw(st.lists(entries, min_size=n, max_size=n))
+    return A, b, c
+
+
+class TestSimplexAgainstBruteForce:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(linear_programs())
+    def test_status_and_optimum(self, lp):
+        A, b, c = lp
+        status, x, value = lp_max(A, b, c)
+        expected_status, expected_value = brute_force_lp(A, b, c)
+        assert status == expected_status
+        if status == "optimal":
+            assert value == expected_value
+            assert all(v >= 0 for v in x)
+            assert [dot(tuple(row), tuple(x)) for row in A] == list(b)
+            assert dot(tuple(c), tuple(x)) == value
+        else:
+            assert x is None and value is None

@@ -14,7 +14,6 @@ from momentmorse.poincare import (
     ResidualDenominatorError,
     SingularValueError,
     betti_numbers,
-    component_series,
     equivariant_series,
     is_regular_value,
     quotient_betti,
@@ -85,14 +84,6 @@ class TestEquivariantSeries:
                              (validate_spec(1, [((1,), 3)], (0,)), (1,))]:
             assert equivariant_series(spec, target, memoize=True) == \
                 equivariant_series(spec, target, memoize=False)
-
-    def test_reconstruction_identity(self):
-        # summing shifted component series recovers 1/(1-t^2)^r exactly
-        spec = c3_spec()
-        total = series_zero()
-        for _value, index, piece in component_series(spec, (0, 0)):
-            total = series_add(total, series_shift(piece, index))
-        assert total == series_make((1,), spec.rank)
 
 
 class TestRegularValues:
